@@ -15,10 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .linalg import CMat, kron2
+from .linalg import CMat
 
 __all__ = [
     "Basis4",
@@ -95,7 +96,7 @@ class Basis4:
     """An orthonormal two-qubit basis over {|00>, |01>, |10>, |11>}.
 
     ``exact_vectors`` optionally carries the same amplitudes as exact
-    Q[sqrt2] scalars; when present the M tensor is computed without rounding.
+    Q[sqrt2] scalars; the M tensor is computed from them without rounding.
     """
 
     name: str
@@ -167,6 +168,7 @@ def computational_basis(energies=(0.0, 0.0, 0.0, 0.0)) -> Basis4:
     )
 
 
+@lru_cache(maxsize=None)
 def basis_for_gate(gate: str) -> Basis4:
     # The Identity gate's interaction eigenbasis coincides with the
     # computational basis; SWAP needs the multiplet basis.
@@ -192,22 +194,6 @@ class MTensor:
         return sum(self.m[a - 1][ap][ap][c - 1] for ap in range(4))
 
 
-_PAULI_2 = {
-    "X": CMat.from_rows([[0, 1], [1, 0]]),
-    "Y": CMat.from_rows([[0, -1j], [1j, 0]]),
-    "Z": CMat.from_rows([[1, 0], [0, -1]]),
-}
-_I2 = CMat.from_rows([[1, 0], [0, 1]])
-
-
-def _spin_operators():
-    ops = []
-    for p in ("X", "Y", "Z"):
-        ops.append(kron2(_PAULI_2[p], _I2))  # qubit 1
-        ops.append(kron2(_I2, _PAULI_2[p]))  # qubit 2
-    return ops
-
-
 _EX_PAULI = {
     "X": ((_EX_ZERO, _ex(1)), (_ex(1), _EX_ZERO)),
     "Y": ((_EX_ZERO, _ex(0, 0, -1)), (_ex(0, 0, 1), _EX_ZERO)),
@@ -231,8 +217,12 @@ def _exact_spin_operators():
     return ops
 
 
-def _m_tensor_exact(basis: Basis4) -> MTensor:
+def m_tensor(basis: Basis4) -> MTensor:
+    """Pairwise Pauli matrix elements of a basis, computed without rounding
+    from its exact Q[sqrt2] amplitudes."""
     vectors = basis.exact_vectors
+    if vectors is None:
+        raise ValueError(f"basis {basis.name!r} carries no exact amplitudes")
     elem = []
     for op in _exact_spin_operators():
         rows = []
@@ -268,46 +258,6 @@ def _m_tensor_exact(basis: Basis4) -> MTensor:
                     # entries are rational in both supplied bases; the sqrt2
                     # component survives only if it genuinely appears
                     tc.append(float(acc[0]) + float(acc[1]) * math.sqrt(2.0))
-                tb.append(tuple(tc))
-            ta.append(tuple(tb))
-        out.append(tuple(ta))
-    return MTensor(tuple(out))
-
-
-def m_tensor(basis: Basis4) -> MTensor:
-    if basis.exact_vectors is not None:
-        return _m_tensor_exact(basis)
-    ops = _spin_operators()
-    # elem[op][a][b] = <a|op|b>
-    elem = []
-    for op in ops:
-        rows = []
-        for a in range(4):
-            va = basis.vectors[a]
-            row = []
-            for b in range(4):
-                vb = basis.vectors[b]
-                row.append(
-                    sum(
-                        va[i].conjugate() * op.at(i, j) * vb[j]
-                        for i in range(4)
-                        for j in range(4)
-                    )
-                )
-            rows.append(row)
-        elem.append(rows)
-    out = []
-    for a in range(4):
-        ta = []
-        for b in range(4):
-            tb = []
-            for c in range(4):
-                tc = []
-                for d in range(4):
-                    v = 0.25 * sum(e[a][b] * e[c][d] for e in elem)
-                    if abs(v.imag) > 1e-12:
-                        raise ValueError("M tensor entry is not real")
-                    tc.append(v.real)
                 tb.append(tuple(tc))
             ta.append(tuple(tb))
         out.append(tuple(ta))
@@ -353,23 +303,37 @@ class Channel:
         return CMat.from_rows([list(r) for r in self.matrix])
 
 
+@lru_cache(maxsize=None)
+def _rate_matrix(gate: str) -> Tuple[Tuple[float, ...], ...]:
+    # With k = alpha real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c]
+    # with R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a}; the
+    # entries are exact dyadic rationals, so the float R carries no rounding.
+    mt = m_tensor(basis_for_gate(gate))
+    return tuple(
+        tuple(
+            (mt.diag_sum(a, a) if a == c else 0.0) - mt.at(a, c, c, a)
+            for c in range(1, 5)
+        )
+        for a in range(1, 5)
+    )
+
+
 def population_channel(gate: str, alpha: float) -> Channel:
     """Population block of the noisy evolution operator at alpha = Re k."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
     if not (0.0 <= alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside [0, 0.5)")
-    basis = basis_for_gate(gate)
-    mt = m_tensor(basis)
-    k = complex(alpha, 0.0)
-    rows = []
-    for a in range(1, 5):
-        row = []
-        for c in range(1, 5):
-            v = v_element(basis, mt, k, a, a, c, c)
-            row.append(v.real)
-        rows.append(tuple(row))
-    return Channel(gate, basis.name, alpha, tuple(rows))
+    rows = tuple(
+        tuple(
+            # the k and conj(k) terms subtracted one at a time, as v_element
+            # does, so every entry is bit-identical to it
+            (1.0 if a == c else 0.0) - r * alpha - r * alpha
+            for c, r in enumerate(row)
+        )
+        for a, row in enumerate(_rate_matrix(gate))
+    )
+    return Channel(gate, basis_for_gate(gate).name, alpha, rows)
 
 
 def to_computational(populations: Sequence[float], basis: Basis4):

@@ -17,15 +17,16 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import sys
 
 from . import expdata, gamma, recovery
-from .channel import COMPUTATIONAL_LABELS, input_labels, predict_table
-from .channel import AlphaOutOfRange as ChannelAlphaOutOfRange
+from .channel import COMPUTATIONAL_LABELS, AlphaOutOfRange, input_labels, predict_table
 from .kernel import KernelParams, k_printed, k_quadrature, re_k_approx
-from .linalg import identity
-from .recovery import ALPHA_MAX, AlphaOutOfRange as RecoveryAlphaOutOfRange
+from .linalg import SingularMatrix, identity, mat_mul
+from .recovery import ALPHA_MAX
 
 EXIT_OK = 0
 EXIT_SELF_CHECK = 1
@@ -79,17 +80,12 @@ def run_gamma_check(basis: gamma.GammaBasis) -> dict:
                     "pass": passed,
                 }
             )
-    try:
-        gamma.decompose(basis, basis.matrix("g5"))
-        rank_ok = True
-    except Exception:
-        rank_ok = False
+    # trace orthogonality of all 16 matrices implies rank 16
+    rank_ok = gamma.is_orthogonal(basis)
     ok = ok and rank_ok
     checks.append({"check": "rank16", "pass": rank_ok})
     product = basis.matrix("g0")
     for mu in (1, 2, 3):
-        from .linalg import mat_mul
-
         product = mat_mul(product, basis.matrix(f"g{mu}"))
     g5_ok = product.entries == basis.matrix("g5").entries
     ok = ok and g5_ok
@@ -352,8 +348,8 @@ def _coupling_list(text: str):
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad coupling list {text!r}")
-    if not values or any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError("couplings must be nonnegative")
+    if not values or not all(0.0 <= v < math.inf for v in values):
+        raise argparse.ArgumentTypeError("couplings must be finite and nonnegative")
     return values
 
 
@@ -413,6 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args):
+    """Usage-level validation beyond argparse; the message, or None."""
+    if args.command in ("kernel", "cost"):
+        if not (0.0 < args.u_max < math.inf) or args.steps < 2:
+            return "--u-max must be finite and > 0 and --steps >= 2"
+    if args.command == "kernel":
+        if not 0.0 < args.wc_ts < math.inf:
+            return "--wc-ts must be finite and > 0"
+        if not 0.0 <= args.delta0 < math.inf:
+            return "--delta0 must be finite and >= 0"
+        if args.gamma0 is not None and not 0.0 <= args.gamma0 < math.inf:
+            return "--gamma0 must be finite and >= 0"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -422,29 +433,30 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = args.default_format
 
-    # usage-level validation beyond argparse
-    if getattr(args, "steps", None) is not None and args.command in ("kernel", "cost"):
-        if args.u_max <= 0 or args.steps < 2:
-            print("error: --u-max must be > 0 and --steps >= 2", file=sys.stderr)
-            return EXIT_USAGE
+    error = _usage_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "kernel" and args.gamma0 is not None:
         args.coupling = [args.gamma0 * args.wc_ts]
 
-    if args.out is not None:
-        out = open(args.out, "w")
-    else:
-        out = sys.stdout
+    # Output is buffered so that a failing command prints nothing and leaves
+    # no --out file behind.
+    buffer = io.StringIO()
     try:
-        return args.func(args, out)
-    except (ChannelAlphaOutOfRange, RecoveryAlphaOutOfRange, recovery.DenominatorNearZero) as exc:
+        code = args.func(args, buffer)
+        if args.out is None:
+            sys.stdout.write(buffer.getvalue())
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(buffer.getvalue())
+        return code
+    except (AlphaOutOfRange, recovery.DenominatorNearZero, SingularMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (expdata.ParseError, expdata.SchemaError, expdata.EmptyRun, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    finally:
-        if args.out is not None:
-            out.close()
 
 
 if __name__ == "__main__":

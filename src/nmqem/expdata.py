@@ -177,9 +177,13 @@ def load_counts(source) -> CountTable:
                         f"run {label!r}: count for {outcome} must be a nonnegative integer"
                     )
             else:
-                if not isinstance(value, (int, float)) or value < 0:
+                if (
+                    not isinstance(value, (int, float))
+                    or isinstance(value, bool)
+                    or not 0.0 <= value < math.inf
+                ):
                     raise SchemaError(
-                        f"run {label!r}: probability for {outcome} must be nonnegative"
+                        f"run {label!r}: probability for {outcome} must be a finite nonnegative number"
                     )
             weights[outcome] = value
         for outcome in OUTCOMES:

@@ -6,18 +6,18 @@ g5*g_mu set are computed from these, never transcribed, so every entry is an
 exact complex integer in {0, +-1, +-i}. The metric is g11 = g22 = g33 = 1,
 g00 = -1.
 
-Decomposition solves the 16x16 linear system over the flattened basis
-matrices. A trace-orthogonality shortcut would need sign and normalization
-bookkeeping (g0 is anti-Hermitian here); the solve is unconditionally correct
-and the system is tiny.
+All 16 matrices are unitary and pairwise trace-orthogonal,
+tr(G_r^dagger G_s) = 4 delta_rs, so the expansion weights of a 4x4 matrix M
+are c_r = tr(G_r^dagger M) / 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Tuple
 
-from .linalg import CMat, mat_mul, solve_linear, identity
+from .linalg import CMat, mat_mul, identity
 
 __all__ = [
     "GammaBasis",
@@ -26,6 +26,7 @@ __all__ = [
     "anticommutator",
     "decompose",
     "reconstruct",
+    "is_orthogonal",
     "METRIC",
     "BASIS_ORDER",
 ]
@@ -101,6 +102,7 @@ def _offdiag_blocks(sigma: CMat) -> CMat:
     return CMat.from_rows(rows)
 
 
+@lru_cache(maxsize=None)
 def build_gamma_basis() -> GammaBasis:
     g = {f"g{i}": _offdiag_blocks(_PAULI[i]) for i in (1, 2, 3)}
     g["g0"] = CMat.from_rows(
@@ -126,20 +128,28 @@ def anticommutator(basis: GammaBasis, mu: int, nu: int) -> CMat:
     return mat_mul(a, b).add(mat_mul(b, a))
 
 
-def _flatten_system(basis: GammaBasis) -> CMat:
-    # Column r of the 16x16 system is the flattened r-th basis matrix.
-    flat = [m.entries for m in basis.matrices]
-    entries = tuple(flat[r][pos] for pos in range(16) for r in range(16))
-    return CMat(16, 16, entries)
+def _trace_product(a: CMat, b: CMat) -> complex:
+    """tr(a^dagger b)."""
+    return sum(x.conjugate() * y for x, y in zip(a.entries, b.entries))
+
+
+def is_orthogonal(basis: GammaBasis) -> bool:
+    """Exact Gram check tr(G_r^dagger G_s) = 4 delta_rs over all 16 pairs;
+    it implies that the 16 matrices span all 4x4 matrices."""
+    return all(
+        _trace_product(a, b) == (4 if r == s else 0)
+        for r, a in enumerate(basis.matrices)
+        for s, b in enumerate(basis.matrices)
+    )
 
 
 def decompose(basis: GammaBasis, m: CMat) -> GammaCoeffs:
-    """Unique coefficients c with sum_r c_r gamma_r = m."""
+    """Unique coefficients c with sum_r c_r gamma_r = m, c_r = tr(G_r^dagger m) / 4."""
     if (m.rows, m.cols) != (4, 4):
         raise ValueError("decompose expects a 4x4 matrix")
-    system = _flatten_system(basis)
-    solution = solve_linear(system, m.entries)
-    return GammaCoeffs(dict(zip(BASIS_ORDER, solution)))
+    return GammaCoeffs(
+        {label: _trace_product(g, m) / 4 for label, g in zip(BASIS_ORDER, basis.matrices)}
+    )
 
 
 def reconstruct(basis: GammaBasis, c: GammaCoeffs) -> CMat:

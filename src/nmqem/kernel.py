@@ -4,13 +4,19 @@ Three evaluators are exposed on purpose:
 
 * ``re_k_approx`` -- the quadratic short-time approximation. This is the
   canonical form behind all figure data and parameter fits.
-* ``k_printed`` -- the closed sine-integral expression, evaluated exactly as
-  written (with the one reading of the imaginary bracket under which
-  Im k(0) = 0 holds).
-* ``k_quadrature`` -- a from-scratch double quadrature of the bath
-  correlator. It is the independent oracle for the other two and quantifies
-  the internal inconsistencies of the closed expression (stray cutoff
-  factors, 2/pi vs pi/2 prefactor) instead of hiding them.
+* ``k_printed`` -- the closed sine-integral expression as printed (with the
+  one reading of the imaginary bracket under which Im k(0) = 0 holds).
+* ``k_quadrature`` -- the double time integral of the bath correlator,
+  (pi gamma0 / 2) sin(wc' s) / s for Re and delta0 d/ds[sin(wc' s)/(wc' s)]
+  for Im.
+
+Both closed forms are evaluated exactly through F(x) = x Si(x) + cos x - 1,
+the integral of Si from 0 to x, with x = wc' u. The two readings differ in
+two explicit identities, which the tests pin:
+
+* Im k_printed = -Im k_quadrature (opposite sign);
+* Re k_printed = (4 / pi^2) Re k_quadrature + gamma0 (wc' - 1) u
+  (a 2/pi prefactor against pi/2, plus a stray linear term).
 
 Time enters only through the dimensionless ratio u = t / tau_s and the
 cutoff only through wc' = omega_c * tau_s.
@@ -20,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .linalg import integrate
 
 __all__ = [
     "KernelParams",
@@ -74,26 +78,37 @@ def _si_taylor(x: float) -> float:
     return total
 
 
-def _si_auxiliary(x: float) -> float:
-    # Si(x) = pi/2 - f(x) cos x - g(x) sin x with the Laplace-type auxiliary
-    # integrals f(x) = int_0^inf e^(-xt)/(1+t^2) dt and
-    # g(x) = int_0^inf t e^(-xt)/(1+t^2) dt, evaluated by quadrature. Unlike
-    # the divergent asymptotic series these stay accurate at moderate x.
-    upper = 42.0 / x  # e^(-42) ~ 6e-19: beyond double precision
-    f = integrate(lambda t: math.exp(-x * t) / (1.0 + t * t), 0.0, upper, tol=1e-13)
-    g = integrate(
-        lambda t: t * math.exp(-x * t) / (1.0 + t * t), 0.0, upper, tol=1e-13
-    )
-    return 0.5 * math.pi - f * math.cos(x) - g * math.sin(x)
+def _si_continued_fraction(x: float) -> float:
+    # Si(x) = pi/2 + Im[E1(ix)] with E1(ix) = e^(-ix) / (1 + ix - 1/(3 + ix
+    # - 4/(5 + ix - ...))), the even form of DLMF 6.9.1, evaluated by the
+    # modified Lentz method (the ``cisi`` routine of Numerical Recipes).
+    # Converges quickly for x >= 2.
+    tiny = 1e-300
+    b = complex(1.0, x)
+    c = 1.0 / tiny
+    d = h = 1.0 / b
+    n = 1
+    while True:
+        a = -n * n
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+        n += 1
+    h *= complex(math.cos(x), -math.sin(x))
+    return 0.5 * math.pi + h.imag
 
 
 def si_standard(x: float) -> float:
     """The standard sine integral: integral of sin(t)/t from 0 to x."""
-    if x < 0:
-        raise ValueError("si_standard requires x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("si_standard requires finite x >= 0")
     if x < _SI_SWITCH:
         return _si_taylor(x)
-    return _si_auxiliary(x)
+    return _si_continued_fraction(x)
 
 
 def si_shifted(x: float) -> float:
@@ -112,79 +127,64 @@ def re_k_approx(coupling: float, u: float) -> float:
     return (2.0 / math.pi) * coupling * (0.5 * math.pi * u + 0.5 * u * u)
 
 
-def k_printed(p: KernelParams, u: float, tol: float = 1e-10) -> complex:
+def _si_integral(x: float) -> float:
+    # F(x) = x Si(x) + cos x - 1, the integral of Si over [0, x]. The closed
+    # form cancels for small x, so there the series
+    # sum_{n>=0} (-1)^n x^(2n+2) / ((2n+1) (2n+2)!) = x^2/2 - x^4/72 + ...
+    # is summed instead.
+    if x >= 0.5:
+        return x * si_standard(x) + math.cos(x) - 1.0
+    term = 0.5 * x * x  # x^(2n+2) / (2n+2)!
+    total = term
+    n = 0
+    while abs(term) > 1e-18 * total:
+        n += 1
+        term *= -x * x / ((2 * n + 1) * (2 * n + 2))
+        total += term / (2 * n + 1)
+    return total
+
+
+def _check_time(u: float):
+    if not 0.0 <= u < math.inf:
+        raise ValueError("u must be finite and nonnegative")
+
+
+def k_printed(p: KernelParams, u: float) -> complex:
     """The closed sine-integral form of k at u = t / tau_s.
 
-    Real part: (2/pi) * gamma0 * [ (pi/2) wc' u + int_0^u Si_shifted(wc' s) ds ].
+    Real part: (2/pi) * gamma0 * [ (pi/2) wc' u + int_0^u Si_shifted(wc' s) ds ]
+    = (2/pi) * gamma0 * [ (pi/2) (wc' - 1) u + F(wc' u) / wc' ].
     Imaginary part: delta0 * [ u - Si_standard(wc' u) / wc' ], the reading of
     the printed bracket under which Im k(0) = 0.
     """
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    wc = p.wc_ts
+    _check_time(u)
     if u == 0.0:
         return 0.0 + 0.0j
+    wc = p.wc_ts
     re = 0.0
     if p.gamma0 != 0.0:
-        shifted_term = integrate(lambda s: si_shifted(wc * s), 0.0, u, tol=tol)
-        re = (2.0 / math.pi) * p.gamma0 * (0.5 * math.pi * wc * u + shifted_term)
+        bracket = 0.5 * math.pi * (wc - 1.0) * u + _si_integral(wc * u) / wc
+        re = (2.0 / math.pi) * p.gamma0 * bracket
     im = 0.0
     if p.delta0 != 0.0:
         im = p.delta0 * (u - si_standard(wc * u) / wc)
     return complex(re, im)
 
 
-def _corr_re(gamma0: float, wc: float, sigma: float) -> float:
-    # (pi gamma0 / 2) sin(wc sigma) / sigma, with the removable singularity
-    # at sigma = 0 resolved by series.
-    a = wc * sigma
-    if abs(a) < 1e-4:
-        val = wc * (1.0 - a * a / 6.0 + a**4 / 120.0)
-    else:
-        val = math.sin(a) / sigma
-    return 0.5 * math.pi * gamma0 * val
+def k_quadrature(p: KernelParams, u: float) -> complex:
+    """The double time integral of the bath correlator, in closed form.
 
-
-def _corr_im(delta0: float, wc: float, sigma: float) -> float:
-    # -delta0 [ sin(wc sigma)/(wc sigma^2) - cos(wc sigma)/sigma ]
-    a = wc * sigma
-    if abs(a) < 1e-3:
-        val = wc * a / 3.0 - wc * a**3 / 30.0
-    else:
-        val = math.sin(a) / (wc * sigma * sigma) - math.cos(a) / sigma
-    return -delta0 * val
-
-
-def k_quadrature(p: KernelParams, u: float, tol: float = 1e-10) -> complex:
-    """Direct nested quadrature of the bath correlator in dimensionless time.
-
-    Serves as the independent oracle for ``k_printed`` and ``re_k_approx``.
+    Real part: (pi gamma0 / 2) F(wc' u) / wc'.
+    Imaginary part: delta0 * [ Si_standard(wc' u) / wc' - u ].
     """
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    _check_time(u)
     if u == 0.0:
         return 0.0 + 0.0j
     wc = p.wc_ts
-    inner_tol = tol / 10.0
-
     re = 0.0
     if p.gamma0 != 0.0:
-        re = integrate(
-            lambda s: integrate(
-                lambda sg: _corr_re(p.gamma0, wc, sg), 0.0, s, tol=inner_tol
-            ),
-            0.0,
-            u,
-            tol=tol,
-        )
+        re = 0.5 * math.pi * p.gamma0 * _si_integral(wc * u) / wc
     im = 0.0
     if p.delta0 != 0.0:
-        im = integrate(
-            lambda s: integrate(
-                lambda sg: _corr_im(p.delta0, wc, sg), 0.0, s, tol=inner_tol
-            ),
-            0.0,
-            u,
-            tol=tol,
-        )
+        im = p.delta0 * (si_standard(wc * u) / wc - u)
     return complex(re, im)

@@ -9,9 +9,10 @@ are kept separate so each validates the other. Costs come in three flavours:
   simplifies to 1/(1-4a) on the whole domain).
 * ``cost_from_decomposition`` -- sum of absolute Gamma expansion weights of
   the recovery matrix. For the identity gate this equals ``cost_id``; for
-  SWAP it differs from the printed combination (the D-dependent terms carry
-  total weight 2|D| in the unique expansion) and is reported as a separate
-  diagnostic, never silently substituted.
+  SWAP it is smaller than the printed combination by exactly |D| (the unique
+  expansion carries D with weight |D| where the printed combination counts
+  it twice) and is reported as a separate diagnostic, never silently
+  substituted.
 
 Domain is alpha in [0, 0.25): both channel determinants have their first
 root at 1/4, beyond which the quasi-probability reading of the expansion
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import Channel, population_channel
+from .channel import AlphaOutOfRange, Channel, population_channel
 from .linalg import CMat, det, mat_inv
 
 __all__ = [
@@ -49,10 +50,6 @@ ALPHA_MAX = 0.25
 _DENOM_EPS = 1e-9
 
 
-class AlphaOutOfRange(ValueError):
-    """alpha outside [0, 0.25)."""
-
-
 class DenominatorNearZero(ArithmeticError):
     """Closed-form denominator vanishes (alpha at a channel singularity)."""
 
@@ -63,38 +60,47 @@ def _check_alpha(alpha: float):
 
 
 def _swap_denominator(alpha: float) -> float:
-    # factors as (1 - 2a)(1 - 4a)^2
-    return 1.0 - 10.0 * alpha + 32.0 * alpha**2 - 32.0 * alpha**3
+    # SWAP channel determinant (1 - 2a)(1 - 4a)^2
+    q = 1.0 - 4.0 * alpha
+    return (1.0 - 2.0 * alpha) * q * q
 
 
 def _id_denominator(alpha: float) -> float:
-    # factors as (1 - 2a)^2 (1 - 4a)
-    return 1.0 - 8.0 * alpha + 20.0 * alpha**2 - 16.0 * alpha**3
+    # Identity channel determinant (1 - 2a)^2 (1 - 4a)
+    p = 1.0 - 2.0 * alpha
+    return p * p * (1.0 - 4.0 * alpha)
+
+
+def _check_denominator(den: float, alpha: float):
+    if abs(den) < _DENOM_EPS:
+        raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
+
+
+def _coefficients(alpha: float) -> Tuple[float, float, float, float]:
+    # Every coefficient factors over p = 1 - 2a and q = 1 - 4a:
+    # B = -a/q, C = (1 - 4a + 2a^2)/(pq), D = 2a^2/(pq), E = (1 - a)/q.
+    # Unlike the expanded cubics over the determinant, these keep full
+    # relative precision as alpha -> 1/4.
+    p = 1.0 - 2.0 * alpha
+    q = 1.0 - 4.0 * alpha
+    a2 = alpha * alpha
+    return -alpha / q, (q + 2.0 * a2) / (p * q), 2.0 * a2 / (p * q), (1.0 - alpha) / q
 
 
 def closed_form_swap(alpha: float) -> Tuple[float, float, float, float]:
     """Coefficients (B, C, D, E) of the SWAP recovery matrix."""
     _check_alpha(alpha)
-    den = _swap_denominator(alpha)
-    if abs(den) < _DENOM_EPS:
-        raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
-    b = (-alpha + 6.0 * alpha**2 - 8.0 * alpha**3) / den
-    c = (1.0 - 8.0 * alpha + 18.0 * alpha**2 - 8.0 * alpha**3) / den
-    d = (2.0 * alpha**2 - 8.0 * alpha**3) / den
-    e = (1.0 - 7.0 * alpha + 14.0 * alpha**2 - 8.0 * alpha**3) / den
-    return b, c, d, e
+    _check_denominator(_swap_denominator(alpha), alpha)
+    return _coefficients(alpha)
 
 
 def closed_form_id(alpha: float) -> Tuple[float, float, float]:
-    """Coefficients (F, G, H) of the Identity recovery matrix."""
+    """Coefficients (F, G, H) of the Identity recovery matrix; they equal
+    (C, D, B) of the SWAP gate."""
     _check_alpha(alpha)
-    den = _id_denominator(alpha)
-    if abs(den) < _DENOM_EPS:
-        raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
-    f = (1.0 - 6.0 * alpha + 10.0 * alpha**2 - 4.0 * alpha**3) / den
-    g = (2.0 * alpha**2 - 4.0 * alpha**3) / den
-    h = (-alpha + 4.0 * alpha**2 - 4.0 * alpha**3) / den
-    return f, g, h
+    _check_denominator(_id_denominator(alpha), alpha)
+    b, c, d, _ = _coefficients(alpha)
+    return c, d, b
 
 
 def swap_recovery_matrix(alpha: float) -> CMat:

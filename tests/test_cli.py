@@ -323,3 +323,63 @@ class TestUsage:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("output,in_m1")
+
+
+def _probs_document(value):
+    runs = [
+        {"input": label, "probs": {"00": 1.0, "01": 0.0, "10": 0.0, "11": 0.0}}
+        for label in ("m1", "m2", "m3", "m4")
+    ]
+    runs[0]["probs"]["01"] = value
+    return json.dumps({"gate": "swap", "device": "x", "shots": 1000, "runs": runs})
+
+
+# Each invalid argv with its documented exit code: 2 usage error, 3 data error.
+BOUNDARY_CASES = {
+    "decompose-near-quarter": (
+        ["decompose", "--gate", "swap", "--alpha", "0.2499999999", "--format", "json"], 2),
+    "kernel-wc-ts-zero": (["kernel", "--mode", "printed", "--wc-ts", "0"], 2),
+    "kernel-wc-ts-negative": (["kernel", "--mode", "printed", "--wc-ts", "-1"], 2),
+    "kernel-u-max-nan": (["kernel", "--u-max", "nan"], 2),
+    "kernel-quadrature-u-max-nan": (["kernel", "--mode", "quadrature", "--u-max", "nan"], 2),
+    "cost-out-missing-dir": (["cost", "--gate", "swap", "--out", "{tmp}/missing/x.csv"], 3),
+    "estimate-nan-probs": (["estimate", "--counts", "{tmp}/nan_probs.json"], 3),
+    "estimate-bool-probs": (["estimate", "--counts", "{tmp}/bool_probs.json"], 3),
+}
+
+
+class TestBoundary:
+    @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
+    @pytest.mark.parametrize("kind", sorted(BOUNDARY_CASES))
+    def test_invalid_argv_exits_cleanly(self, kind, capsys, tmp_path):
+        (tmp_path / "nan_probs.json").write_text(_probs_document(float("nan")))
+        (tmp_path / "bool_probs.json").write_text(_probs_document(False))
+        template, expected = BOUNDARY_CASES[kind]
+        argv = [arg.format(tmp=tmp_path) for arg in template]
+        runs = [(argv, argv[argv.index("--out") + 1] if "--out" in argv else None)]
+        if "--out" not in argv:
+            target = str(tmp_path / "out.txt")
+            runs.append((argv + ["--out", target], target))
+        for args, target in runs:
+            code, out, err = run_cli(args, capsys)
+            assert code == expected
+            assert out == ""
+            assert err.startswith("error: ")
+            if target is not None:
+                assert not (tmp_path / target).exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--u-max", "inf"],
+            ["kernel", "--coupling", "nan"],
+            ["kernel", "--mode", "printed", "--wc-ts", "inf"],
+            ["kernel", "--mode", "printed", "--delta0", "-0.5"],
+            ["kernel", "--mode", "printed", "--gamma0", "nan"],
+            ["cost", "--gate", "identity", "--u-max", "nan"],
+        ],
+    )
+    def test_non_finite_and_negative_parameters_are_usage_errors(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""

@@ -9,9 +9,10 @@ from nmqem.gamma import (
     anticommutator,
     build_gamma_basis,
     decompose,
+    is_orthogonal,
     reconstruct,
 )
-from nmqem.linalg import CMat, identity, mat_mul
+from nmqem.linalg import CMat, identity, mat_mul, solve_linear
 
 BASIS = build_gamma_basis()
 
@@ -134,6 +135,25 @@ class TestDecompose:
         for label in BASIS_ORDER:
             expected = ca.coeffs[label] + 2.5 * cb.coeffs[label]
             assert csum.coeffs[label] == pytest.approx(expected, abs=1e-12)
+
+    def test_gram_matrix_is_four_identity(self):
+        assert is_orthogonal(BASIS)
+        matrices = list(BASIS.matrices)
+        matrices[BASIS_ORDER.index("g1")] = BASIS.matrix("g2")
+        assert not is_orthogonal(type(BASIS)(tuple(matrices), BASIS.metric))
+
+    def test_trace_weights_match_linear_solve(self):
+        # independent oracle: the 16x16 system whose column r is the
+        # flattened r-th basis matrix
+        flat = [g.entries for g in BASIS.matrices]
+        system = CMat(16, 16, tuple(flat[r][pos] for pos in range(16) for r in range(16)))
+        rng = random.Random(7)
+        for _ in range(20):
+            m = random_cmat(rng)
+            solved = solve_linear(system, m.entries)
+            c = decompose(BASIS, m)
+            for label, want in zip(BASIS_ORDER, solved):
+                assert c.coeffs[label] == pytest.approx(want, abs=1e-14)
 
     def test_zero_matrix(self):
         c = decompose(BASIS, CMat(4, 4, (0.0,) * 16))

@@ -169,3 +169,31 @@ class TestKQuadrature:
         a = k_quadrature(KernelParams(1.0, 0.0, 10.0), 0.6).real
         b = k_quadrature(KernelParams(2.0, 0.0, 10.0), 0.6).real
         assert b == pytest.approx(2 * a, rel=1e-8)
+
+
+class TestReadings:
+    """The two readings of k differ by two explicit identities."""
+
+    CASES = [
+        (KernelParams(1.0, 0.5, 10.0), u) for u in (0.01, 0.049, 0.051, 0.3, 0.399, 0.401, 1.0)
+    ] + [(KernelParams(6.7e-5, 0.2, 10.75), 0.964), (KernelParams(0.3, 1.0, 0.5), 2.0)]
+
+    def test_imag_parts_opposite(self):
+        for p, u in self.CASES:
+            assert k_printed(p, u).imag == pytest.approx(-k_quadrature(p, u).imag, rel=1e-14, abs=1e-300)
+
+    def test_real_parts_related(self):
+        # (2/pi) prefactor against pi/2, plus the stray (pi/2)(wc' - 1) u term
+        for p, u in self.CASES:
+            expected = 4.0 / math.pi**2 * k_quadrature(p, u).real + p.gamma0 * (p.wc_ts - 1.0) * u
+            assert k_printed(p, u).real == pytest.approx(expected, rel=1e-13)
+
+    def test_non_finite_time_rejected(self):
+        p = KernelParams(1.0, 0.5, 10.0)
+        for u in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                k_printed(p, u)
+            with pytest.raises(ValueError):
+                k_quadrature(p, u)
+            with pytest.raises(ValueError):
+                si_standard(u)

@@ -1,7 +1,9 @@
 import warnings
+from fractions import Fraction
 
 import pytest
 
+from nmqem import channel
 from nmqem.channel import population_channel
 from nmqem.linalg import identity, mat_mul
 from nmqem.recovery import (
@@ -20,6 +22,40 @@ from nmqem.recovery import (
 )
 
 GRID = [i * 0.01 for i in range(25)]  # 0.00 .. 0.24
+
+# channel matrices as affine functions of alpha: matrix[out][in] = a + b*alpha
+CHANNELS = {
+    "swap": (
+        ((1, -2), (0, 1), (0, 0), (0, 1)),
+        ((0, 1), (1, -3), (0, 1), (0, 1)),
+        ((0, 0), (0, 1), (1, -2), (0, 1)),
+        ((0, 1), (0, 1), (0, 1), (1, -3)),
+    ),
+    "identity": (
+        ((1, -2), (0, 1), (0, 1), (0, 0)),
+        ((0, 1), (1, -2), (0, 0), (0, 1)),
+        ((0, 1), (0, 0), (1, -2), (0, 1)),
+        ((0, 0), (0, 1), (0, 1), (1, -2)),
+    ),
+}
+
+
+def exact_inverse(gate, alpha):
+    """Gauss-Jordan inverse of the channel in rationals, at the exact value
+    of the float alpha."""
+    a = Fraction(alpha)
+    rows = [
+        [p + q * a for p, q in CHANNELS[gate][i]] + [Fraction(int(i == j)) for j in range(4)]
+        for i in range(4)
+    ]
+    for col in range(4):
+        pivot = next(r for r in range(col, 4) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(4):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return [row[4:] for row in rows]
 
 
 class TestClosedForms:
@@ -61,6 +97,21 @@ class TestClosedForms:
                 closed_form_swap(bad)
             with pytest.raises(AlphaOutOfRange):
                 closed_form_id(bad)
+
+    def test_single_alpha_error_class(self):
+        assert AlphaOutOfRange is channel.AlphaOutOfRange
+
+    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    def test_against_exact_inverse_near_quarter(self, gate):
+        closed = swap_recovery_matrix if gate == "swap" else id_recovery_matrix
+        near = [0.25 - 10.0 ** (-k / 4) for k in range(8, 17)] + [0.24989059404470026]
+        for alpha in GRID + near:
+            exact = exact_inverse(gate, alpha)
+            scale = max(abs(float(x)) for row in exact for x in row)
+            got = closed(alpha)
+            for i in range(4):
+                for j in range(4):
+                    assert abs(got.at(i, j) - float(exact[i][j])) <= 1e-13 * scale
 
     def test_denominator_guard(self):
         # close enough to the 1/4 root that the cubic falls below the guard
@@ -148,6 +199,11 @@ class TestRecoveryOp:
         d = abs(op.coeffs["D"])
         assert dec == pytest.approx(1.375, abs=1e-9)
         assert printed == pytest.approx(dec + d, abs=1e-9)
+        for alpha in GRID:
+            op = recovery_op("swap", alpha)
+            assert cost_swap(alpha) == pytest.approx(
+                cost_from_decomposition(op) + abs(op.coeffs["D"]), abs=1e-9
+            )
 
     def test_reconstruction_round_trip(self):
         from nmqem.gamma import build_gamma_basis, reconstruct
