@@ -1,10 +1,13 @@
 """Noisy two-qubit population-transfer channels.
 
 Builds the tensor of pairwise Pauli matrix elements in an orthonormal
-two-qubit basis, assembles the noisy evolution operator element by element,
-and produces the SWAP / Identity population channels and their predicted
-probability tables, including the conversion from the exchange-symmetric
-multiplet basis to the computational basis.
+two-qubit basis exactly (``m_tensor``) and assembles the noisy evolution
+operator element by element from it (``v_element``). The SWAP / Identity
+population channels are affine in alpha = Re k, delta - 2 alpha R, with each
+gate's rate matrix R a literal table of dyadic rationals that the tests
+check against ``m_tensor``. Also produces the predicted probability tables,
+including the conversion from the exchange-symmetric multiplet basis to the
+computational basis.
 
 Channel matrices are column stochastic: column c is the output population
 distribution for pure input state c.
@@ -303,19 +306,25 @@ class Channel:
         return CMat.from_rows([list(r) for r in self.matrix])
 
 
-@lru_cache(maxsize=None)
-def _rate_matrix(gate: str) -> Tuple[Tuple[float, ...], ...]:
-    # With k = alpha real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c]
-    # with R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a}; the
-    # entries are exact dyadic rationals, so the float R carries no rounding.
-    mt = m_tensor(basis_for_gate(gate))
-    return tuple(
-        tuple(
-            (mt.diag_sum(a, a) if a == c else 0.0) - mt.at(a, c, c, a)
-            for c in range(1, 5)
-        )
-        for a in range(1, 5)
-    )
+# Rate matrices R of the population channel, one per gate: with k = alpha
+# real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c], where
+# R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a} over the gate's
+# basis. The entries are exact dyadic rationals of m_tensor, so the float
+# table carries no rounding; the channel tests check it against m_tensor.
+_RATE_MATRIX = {
+    "swap": (
+        (1.0, -0.5, 0.0, -0.5),
+        (-0.5, 1.5, -0.5, -0.5),
+        (0.0, -0.5, 1.0, -0.5),
+        (-0.5, -0.5, -0.5, 1.5),
+    ),
+    "identity": (
+        (1.0, -0.5, -0.5, 0.0),
+        (-0.5, 1.0, 0.0, -0.5),
+        (-0.5, 0.0, 1.0, -0.5),
+        (0.0, -0.5, -0.5, 1.0),
+    ),
+}
 
 
 def population_channel(gate: str, alpha: float) -> Channel:
@@ -331,7 +340,7 @@ def population_channel(gate: str, alpha: float) -> Channel:
             (1.0 if a == c else 0.0) - r * alpha - r * alpha
             for c, r in enumerate(row)
         )
-        for a, row in enumerate(_rate_matrix(gate))
+        for a, row in enumerate(_RATE_MATRIX[gate])
     )
     return Channel(gate, basis_for_gate(gate).name, alpha, rows)
 

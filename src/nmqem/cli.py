@@ -17,6 +17,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -353,7 +354,10 @@ def _coupling_list(text: str):
     return values
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged and every default is immutable, so calls share nothing."""
     parser = argparse.ArgumentParser(
         prog="nmqem",
         description="Non-Markovian two-qubit noise channels and mitigation costs.",
@@ -370,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="decoherence function curves")
     add_common(p)
-    p.add_argument("--coupling", type=_coupling_list, default=[7e-4, 7e-3])
+    p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
     p.add_argument("--u-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--mode", choices=("approx", "printed", "quadrature"), default="approx")
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="mitigation cost curves")
     add_common(p)
     p.add_argument("--gate", choices=("swap", "identity"), required=True)
-    p.add_argument("--coupling", type=_coupling_list, default=[7e-4, 7e-3])
+    p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
     p.add_argument("--u-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
     p.set_defaults(func=cmd_cost, default_format="csv")
@@ -421,6 +425,10 @@ def _usage_error(args):
             return "--delta0 must be finite and >= 0"
         if args.gamma0 is not None and not 0.0 <= args.gamma0 < math.inf:
             return "--gamma0 must be finite and >= 0"
+        if not all(c < math.inf for c in args.coupling):
+            return "--gamma0 * --wc-ts (the coupling) must be finite"
+        if args.mode != "approx" and not all(c / args.wc_ts < math.inf for c in args.coupling):
+            return "--coupling / --wc-ts (gamma0) must be finite"
     return None
 
 
@@ -433,12 +441,12 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = args.default_format
 
+    if args.command == "kernel" and args.gamma0 is not None:
+        args.coupling = [args.gamma0 * args.wc_ts]
     error = _usage_error(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "kernel" and args.gamma0 is not None:
-        args.coupling = [args.gamma0 * args.wc_ts]
 
     # Output is buffered so that a failing command prints nothing and leaves
     # no --out file behind.

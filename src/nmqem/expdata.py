@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .channel import GATES, input_labels, predict_table
@@ -223,9 +224,11 @@ _ROLE_MODEL = {
 }
 
 
+@lru_cache(maxsize=None)
 def classify_cells(gate: str):
     """Symbolic role of every (output, input) cell, derived from the channel
-    algebra by probing the predicted table at two alpha values."""
+    algebra by probing the predicted table at two alpha values. The roles
+    depend only on the gate, so they are computed once per gate."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
     probe = 0.1

@@ -153,9 +153,11 @@ def decompose(basis: GammaBasis, m: CMat) -> GammaCoeffs:
 
 
 def reconstruct(basis: GammaBasis, c: GammaCoeffs) -> CMat:
-    out = CMat(4, 4, (0.0,) * 16)
+    """sum_r c_r G_r, each entry accumulated from 0j over the nonzero weights
+    in BASIS_ORDER."""
+    acc = [0j] * 16
     for label, matrix in zip(BASIS_ORDER, basis.matrices):
         weight = c.coeffs[label]
         if weight != 0:
-            out = out.add(matrix.scaled(weight))
-    return out
+            acc = [s + weight * e for s, e in zip(acc, matrix.entries)]
+    return CMat(4, 4, tuple(acc))

@@ -1,8 +1,12 @@
 import cmath
+import math
+import random
 
 import pytest
 
 from nmqem.channel import (
+    _RATE_MATRIX,
+    GATES,
     AlphaOutOfRange,
     Basis4,
     NotNormalized,
@@ -163,6 +167,46 @@ class TestPopulationChannel:
     def test_unknown_gate(self):
         with pytest.raises(ValueError):
             population_channel("cz", 0.1)
+
+
+def derived_rate_matrix(basis):
+    """R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a}, from m_tensor."""
+    mt = m_tensor(basis)
+    return tuple(
+        tuple(
+            (mt.diag_sum(a, a) if a == c else 0.0) - mt.at(a, c, c, a)
+            for c in range(1, 5)
+        )
+        for a in range(1, 5)
+    )
+
+
+def channel_alphas():
+    """A grid over [0, 0.5) with points packed on both sides of 1/4."""
+    rng = random.Random(20231)
+    grid = [i / 1000 for i in range(500)]
+    grid += [0.25 - 2.0 ** -e for e in range(3, 54)]
+    grid += [0.25 + 2.0 ** -e for e in range(3, 54)]
+    grid += [math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0)]
+    grid += [rng.uniform(0.0, 0.5) for _ in range(500)]
+    return grid
+
+
+class TestRateMatrix:
+    @pytest.mark.parametrize("gate", GATES)
+    def test_table_equals_m_tensor_derivation(self, gate):
+        assert _RATE_MATRIX[gate] == derived_rate_matrix(basis_for_gate(gate))
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_channel_bit_identical_to_v_element(self, gate):
+        basis = basis_for_gate(gate)
+        mt = m_tensor(basis)
+        for alpha in channel_alphas():
+            matrix = population_channel(gate, alpha).matrix
+            for a in range(1, 5):
+                for c in range(1, 5):
+                    expected = v_element(basis, mt, complex(alpha), a, a, c, c).real
+                    assert matrix[a - 1][c - 1].hex() == expected.hex(), (alpha, a, c)
 
 
 class TestToComputational:

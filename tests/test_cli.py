@@ -4,7 +4,7 @@ from importlib.resources import files
 import pytest
 
 from nmqem import gamma
-from nmqem.cli import main, run_gamma_check
+from nmqem.cli import build_parser, main, run_gamma_check
 
 FIXTURES = files("nmqem") / "fixtures"
 SWAP_IBM = str(FIXTURES / "table3_ibm_swap.json")
@@ -345,6 +345,10 @@ BOUNDARY_CASES = {
     "cost-out-missing-dir": (["cost", "--gate", "swap", "--out", "{tmp}/missing/x.csv"], 3),
     "estimate-nan-probs": (["estimate", "--counts", "{tmp}/nan_probs.json"], 3),
     "estimate-bool-probs": (["estimate", "--counts", "{tmp}/bool_probs.json"], 3),
+    "kernel-printed-gamma0-overflow": (["kernel", "--mode", "printed", "--gamma0", "1e308"], 2),
+    "kernel-printed-coupling-overflow": (
+        ["kernel", "--mode", "printed", "--coupling", "1e308", "--wc-ts", "1e-308"], 2),
+    "kernel-approx-gamma0-overflow": (["kernel", "--gamma0", "1e308"], 2),
 }
 
 
@@ -383,3 +387,26 @@ class TestBoundary:
         code, out, _ = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["kernel", "--gamma0", "1", "--wc-ts", "10", "--mode", "printed"],
+        ["fit", "--alpha", "0.02"],
+        ["kernel"],
+        ["cost", "--gate", "swap"],
+        ["estimate", "--counts", SWAP_IBM],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        build_parser.cache_clear()
+        reused = [run_cli(argv, capsys) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
+        assert reused == fresh

@@ -217,8 +217,16 @@ class TestClassifyCells:
             assert roles[i][i] == ROLE_ONE_MINUS_2A
 
     def test_unknown_gate(self):
-        with pytest.raises(ValueError):
-            classify_cells("cnot")
+        for _ in range(3):  # on every call, not only the first
+            with pytest.raises(ValueError):
+                classify_cells("cnot")
+
+    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    def test_cached_roles_equal_the_probe(self, gate):
+        roles = classify_cells(gate)
+        assert roles == classify_cells.__wrapped__(gate)
+        assert classify_cells(gate) is roles
+        assert all(isinstance(row, tuple) for row in roles)
 
 
 class TestEstimate:

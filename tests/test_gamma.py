@@ -170,3 +170,48 @@ class TestDecompose:
     def test_abs_sum(self):
         c = GammaCoeffs({label: 0.0 for label in BASIS_ORDER} | {"g5": 3 + 4j, "I": 1.0})
         assert c.abs_sum() == pytest.approx(6.0)
+
+
+def reconstruct_by_matrix_sums(basis, c):
+    """The reference fold: one scaled matrix added per nonzero weight."""
+    out = CMat(4, 4, (0.0,) * 16)
+    for label, matrix in zip(BASIS_ORDER, basis.matrices):
+        weight = c.coeffs[label]
+        if weight != 0:
+            out = out.add(matrix.scaled(weight))
+    return out
+
+
+def entry_bits(m):
+    return [(z.real.hex(), z.imag.hex()) for z in m.entries]
+
+
+class TestReconstruct:
+    @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
+    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    def test_equals_matrix_sum_fold_on_recovery_operators(self, gate):
+        from nmqem.recovery import recovery_op
+
+        alphas = [i / 400 for i in range(100)] + [0.249, 0.2495, 0.2499]
+        for alpha in alphas:
+            c = recovery_op(gate, alpha).gamma
+            assert entry_bits(reconstruct(BASIS, c)) == entry_bits(
+                reconstruct_by_matrix_sums(BASIS, c)
+            ), alpha
+
+    def test_equals_matrix_sum_fold_on_mixed_weights(self):
+        rng = random.Random(11)
+        cases = [
+            {label: rng.choice([0, 0.0, 1.5, complex(rng.gauss(0, 1), rng.gauss(0, 1))])
+             for label in BASIS_ORDER}
+            for _ in range(50)
+        ]
+        # one negative weight: where its matrix is zero the product is -0.0,
+        # so these cases show the sign of the 0j each entry starts from
+        cases += [{other: -1.5 if other == label else 0 for other in BASIS_ORDER}
+                  for label in BASIS_ORDER]
+        for coeffs in cases:
+            c = GammaCoeffs(coeffs)
+            assert entry_bits(reconstruct(BASIS, c)) == entry_bits(
+                reconstruct_by_matrix_sums(BASIS, c)
+            )
