@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .linalg import CMat
@@ -359,6 +360,15 @@ def to_computational(populations: Sequence[float], basis: Basis4):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _population_weights(gate: str):
+    """|<beta|a>|^2 for the gate's basis state a and computational state
+    beta, indexed [beta][a]: the weights ``to_computational`` applies,
+    computed once per gate."""
+    vectors = basis_for_gate(gate).vectors
+    return tuple(tuple(abs(vectors[a][beta]) ** 2 for a in range(4)) for beta in range(4))
+
+
 def predict_table(gate: str, alpha: float):
     """Output probabilities in the computational basis, one column per input
     state (multiplet inputs for SWAP, computational for Identity)."""
@@ -367,9 +377,13 @@ def predict_table(gate: str, alpha: float):
     ch = population_channel(gate, alpha)
     if gate == "identity":
         return ch.matrix
-    basis = basis_for_gate(gate)
-    cols = [to_computational(ch.column(j), basis) for j in range(4)]
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+    # to_computational applied to each column, with the same products
+    # summed in the same order
+    columns = tuple(zip(*ch.matrix))
+    return tuple(
+        tuple(sum(map(mul, row, col)) for col in columns)
+        for row in _population_weights(gate)
+    )
 
 
 def input_labels(gate: str):

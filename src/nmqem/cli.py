@@ -26,7 +26,7 @@ import sys
 from . import expdata, gamma, recovery
 from .channel import COMPUTATIONAL_LABELS, AlphaOutOfRange, input_labels, predict_table
 from .kernel import KernelParams, k_printed, k_quadrature, re_k_approx
-from .linalg import SingularMatrix, identity, mat_mul
+from .linalg import identity, mat_mul
 from .recovery import ALPHA_MAX
 
 EXIT_OK = 0
@@ -134,6 +134,9 @@ def cmd_kernel(args, out) -> int:
                 if with_im:
                     row.append(k.imag)
                 rows.append(row)
+    for row in rows:
+        if not all(math.isfinite(v) for v in row[2:]):
+            raise OverflowError(f"k overflows at coupling={row[0]}, u={row[1]}")
     if args.format == "json":
         _emit_json(
             out,
@@ -459,7 +462,7 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(buffer.getvalue())
         return code
-    except (AlphaOutOfRange, recovery.DenominatorNearZero, SingularMatrix) as exc:
+    except (AlphaOutOfRange, recovery.DenominatorNearZero, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (expdata.ParseError, expdata.SchemaError, expdata.EmptyRun, OSError) as exc:

@@ -13,7 +13,7 @@ are c_r = tr(G_r^dagger M) / 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -55,10 +55,23 @@ _SET_OF_LABEL = {
 
 @dataclass(frozen=True)
 class GammaBasis:
-    """The 16 basis matrices keyed by label, plus the metric diagonal."""
+    """The 16 basis matrices keyed by label, plus the metric diagonal.
+
+    ``support`` lists, per matrix, its nonzero entries as (flat index, entry)
+    pairs; every Gamma matrix is monomial, so each has four.
+    """
 
     matrices: Tuple[CMat, ...]  # in BASIS_ORDER
     metric: Tuple[int, int, int, int]
+    support: Tuple[Tuple[Tuple[int, complex], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        support = tuple(
+            tuple((k, e) for k, e in enumerate(m.entries) if e != 0) for m in self.matrices
+        )
+        object.__setattr__(self, "support", support)
 
     def matrix(self, label: str) -> CMat:
         return self.matrices[BASIS_ORDER.index(label)]
@@ -154,10 +167,13 @@ def decompose(basis: GammaBasis, m: CMat) -> GammaCoeffs:
 
 def reconstruct(basis: GammaBasis, c: GammaCoeffs) -> CMat:
     """sum_r c_r G_r, each entry accumulated from 0j over the nonzero weights
-    in BASIS_ORDER."""
+    in BASIS_ORDER. Only each matrix's nonzero entries are visited: for a
+    finite weight the skipped terms are signed zeros, which leave a sum that
+    started from 0j unchanged."""
     acc = [0j] * 16
-    for label, matrix in zip(BASIS_ORDER, basis.matrices):
+    for label, support in zip(BASIS_ORDER, basis.support):
         weight = c.coeffs[label]
         if weight != 0:
-            acc = [s + weight * e for s, e in zip(acc, matrix.entries)]
-    return CMat(4, 4, tuple(acc))
+            for k, e in support:
+                acc[k] += weight * e
+    return CMat(4, 4, acc)

@@ -1,8 +1,25 @@
 """Recovery operators and mitigation cost functions.
 
-A recovery operator is the matrix inverse of a noisy population channel. For
-both gates it also has a closed rational form in alpha = Re k; the two routes
-are kept separate so each validates the other. Costs come in three flavours:
+Each gate's population channel is V = delta - 2 alpha R (``channel``), and its
+rate matrix R has the distinct eigenvalues l in {0, 1, 2}. With R's spectral
+projectors P_l, V = sum_l (1 - 2 l alpha) P_l, so the recovery operator is
+
+    V^-1 = P_0 + P_1 / (1 - 2 alpha) + P_2 / (1 - 4 alpha),
+
+and its Gamma expansion weights are the same sum over the constant weights
+c(P_l) of each projector. ``recovery_op`` evaluates both sums from one
+literal per-gate table, grouped by powers of alpha so that entries of order
+alpha^2 keep their relative precision (``_resolvent``); it inverts nothing
+and takes no traces. Its closed-form record holds the coefficients
+(B, C, D, E) or (F, G, H) in their factored forms over 1 - 2 alpha and
+1 - 4 alpha, from which the printed costs are computed.
+
+Independent oracles, which the tests compare with the spectral route:
+``recovery_numeric`` (LU inverse of the channel matrix),
+``swap_recovery_matrix`` / ``id_recovery_matrix`` (matrices assembled from the
+closed-form coefficients) and ``gamma.decompose`` (trace formula).
+
+Costs come in three flavours:
 
 * ``cost_swap`` / ``cost_id`` -- the printed absolute-value combinations of
   the closed-form coefficients (the canonical contract; the identity one
@@ -26,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import AlphaOutOfRange, Channel, population_channel
+from .channel import AlphaOutOfRange, Channel
 from .linalg import CMat, det, mat_inv
 
 __all__ = [
@@ -71,9 +88,130 @@ def _id_denominator(alpha: float) -> float:
     return p * p * (1.0 - 4.0 * alpha)
 
 
+_DENOMINATOR = {"swap": _swap_denominator, "identity": _id_denominator}
+
+
 def _check_denominator(den: float, alpha: float):
     if abs(den) < _DENOM_EPS:
         raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
+
+
+# Spectral table of each gate's rate matrix R: one row (l, P_l, c(P_l)) per
+# distinct eigenvalue l, where P_l is the orthogonal projector onto its
+# eigenspace (16 row-major entries, all dyadic, so the floats are exact) and
+# c(P_l) holds its nonzero Gamma weights tr(G_r^dagger P_l) / 4. The rows
+# satisfy sum_l l P_l = R, sum_l P_l = I and P_l P_m = delta_lm P_l; the
+# recovery tests check every entry against m_tensor and decompose exactly.
+_SPECTRUM = {
+    "swap": (
+        (
+            0,
+            (
+                0.25, 0.25, 0.25, 0.25,
+                0.25, 0.25, 0.25, 0.25,
+                0.25, 0.25, 0.25, 0.25,
+                0.25, 0.25, 0.25, 0.25,
+            ),
+            {"I": 0.25, "g1": 0.25, "g2g3": -0.25j, "g5g0": -0.25j},
+        ),
+        (
+            1,
+            (
+                0.5, 0.0, -0.5, 0.0,
+                0.0, 0.0, 0.0, 0.0,
+                -0.5, 0.0, 0.5, 0.0,
+                0.0, 0.0, 0.0, 0.0,
+            ),
+            {"I": 0.25, "g3": -0.25, "g1g2": -0.25j, "g5g0": 0.25j},
+        ),
+        (
+            2,
+            (
+                0.25, -0.25, 0.25, -0.25,
+                -0.25, 0.75, -0.25, -0.25,
+                0.25, -0.25, 0.25, -0.25,
+                -0.25, -0.25, -0.25, 0.75,
+            ),
+            {"I": 0.5, "g1": -0.25, "g3": 0.25, "g1g2": 0.25j, "g2g3": 0.25j},
+        ),
+    ),
+    "identity": (
+        (
+            0,
+            (
+                0.25, 0.25, 0.25, 0.25,
+                0.25, 0.25, 0.25, 0.25,
+                0.25, 0.25, 0.25, 0.25,
+                0.25, 0.25, 0.25, 0.25,
+            ),
+            {"I": 0.25, "g1": 0.25, "g2g3": -0.25j, "g5g0": -0.25j},
+        ),
+        (
+            1,
+            (
+                0.5, 0.0, 0.0, -0.5,
+                0.0, 0.5, -0.5, 0.0,
+                0.0, -0.5, 0.5, 0.0,
+                -0.5, 0.0, 0.0, 0.5,
+            ),
+            {"I": 0.5, "g1": -0.5},
+        ),
+        (
+            2,
+            (
+                0.25, -0.25, -0.25, 0.25,
+                -0.25, 0.25, 0.25, -0.25,
+                -0.25, 0.25, 0.25, -0.25,
+                0.25, -0.25, -0.25, 0.25,
+            ),
+            {"I": 0.25, "g1": 0.25, "g2g3": 0.25j, "g5g0": 0.25j},
+        ),
+    ),
+}
+
+
+def _moments(vectors):
+    """(sum_l v_l, sum_l l v_l, the pairs (l, v_l) with l > 0) for the
+    pairs (l, v_l) of one gate; sums of dyadic floats, so exact."""
+    return (
+        [sum(column) for column in zip(*(v for _, v in vectors))],
+        [sum(column) for column in zip(*(tuple(lam * x for x in v) for lam, v in vectors))],
+        tuple((lam, v) for lam, v in vectors if lam),
+    )
+
+
+def _weight_moments(spectrum):
+    """The labels with a nonzero weight in some c(P_l), and the moments of
+    the c(P_l) over those labels."""
+    labels = tuple(
+        label for label in gamma_mod.BASIS_ORDER if any(label in c for _, _, c in spectrum)
+    )
+    weights = [(lam, tuple(c.get(label, 0) for label in labels)) for lam, _, c in spectrum]
+    return labels, _moments(weights)
+
+
+# Per gate, the moments of the projectors and of their Gamma weights: the
+# form _resolvent takes.
+_MOMENTS = {
+    gate: (_moments([(lam, p) for lam, p, _ in spectrum]), _weight_moments(spectrum))
+    for gate, spectrum in _SPECTRUM.items()
+}
+
+
+def _resolvent(moments, alpha: float) -> list:
+    """sum_l v_l / (1 - 2 l alpha), evaluated as
+    sum_l v_l + 2 alpha sum_l l v_l + 4 alpha^2 sum_l l^2 v_l / (1 - 2 l alpha),
+    the same sum by 1/(1 - x) = 1 + x + x^2 / (1 - x). Grouped by powers of
+    alpha, an entry of order alpha or alpha^2 keeps its relative precision,
+    which the plain sum loses to cancellation at small alpha."""
+    v0, v1, tail = moments
+    t = [0.0] * len(v0)
+    for lam, v in tail:
+        s = lam * lam / (1.0 - 2.0 * lam * alpha)
+        t = [x + s * y for x, y in zip(t, v)]
+    a = 2.0 * alpha
+    b = a * a
+    return [x + a * y + b * z for x, y, z in zip(v0, v1, t)]
 
 
 def _coefficients(alpha: float) -> Tuple[float, float, float, float]:
@@ -127,20 +265,25 @@ def id_recovery_matrix(alpha: float) -> CMat:
     )
 
 
+def _warn_if_nearly_singular(determinant: float, alpha: float):
+    if abs(determinant) < 1e-4:
+        warnings.warn(
+            f"channel nearly singular at alpha={alpha}; inverse is ill-conditioned",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def recovery_numeric(ch: Channel) -> CMat:
-    """Numeric channel inverse; R V = I to working precision.
+    """Numeric channel inverse by LU; R V = I to working precision. An
+    oracle for ``recovery_op``, which nothing in the package calls.
 
     Emits a warning when the channel determinant is close to its alpha = 1/4
     root, where the inverse entries blow up.
     """
     _check_alpha(ch.alpha)
     m = ch.to_cmat()
-    if abs(det(m)) < 1e-4:
-        warnings.warn(
-            f"channel nearly singular at alpha={ch.alpha}; inverse is ill-conditioned",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_if_nearly_singular(det(m), ch.alpha)
     return mat_inv(m)
 
 
@@ -168,21 +311,26 @@ class RecoveryOp:
     gamma: gamma_mod.GammaCoeffs
 
 
-def recovery_op(gate: str, alpha: float, basis: gamma_mod.GammaBasis = None) -> RecoveryOp:
-    """Build the recovery operator for a gate: numeric inverse of the
-    population channel, closed-form coefficients and Gamma decomposition."""
-    ch = population_channel(gate, alpha)
-    matrix = recovery_numeric(ch)
+def recovery_op(gate: str, alpha: float) -> RecoveryOp:
+    """Build the recovery operator for a gate: the spectral sum
+    sum_l P_l / (1 - 2 l alpha) for the matrix and its Gamma weights, and the
+    closed-form coefficient record. Warns as ``recovery_numeric`` does when
+    the channel determinant, the product of its eigenvalues 1 - 2 l alpha,
+    falls below 1e-4."""
+    moments = _MOMENTS.get(gate)
+    if moments is None:
+        raise ValueError(f"unknown gate {gate!r}")
+    _check_alpha(alpha)
+    _warn_if_nearly_singular(_DENOMINATOR[gate](alpha), alpha)
     if gate == "swap":
-        b, c, d, e = closed_form_swap(alpha)
-        coeffs = {"B": b, "C": c, "D": d, "E": e}
+        coeffs = dict(zip("BCDE", closed_form_swap(alpha)))
     else:
-        f, g, h = closed_form_id(alpha)
-        coeffs = {"F": f, "G": g, "H": h}
-    if basis is None:
-        basis = gamma_mod.build_gamma_basis()
-    gcoeffs = gamma_mod.decompose(basis, matrix)
-    return RecoveryOp(gate, alpha, matrix, coeffs, gcoeffs)
+        coeffs = dict(zip("FGH", closed_form_id(alpha)))
+    matrix_moments, (labels, weight_moments) = moments
+    matrix = CMat(4, 4, _resolvent(matrix_moments, alpha))
+    weights = dict.fromkeys(gamma_mod.BASIS_ORDER, 0j)
+    weights.update(zip(labels, _resolvent(weight_moments, alpha)))
+    return RecoveryOp(gate, alpha, matrix, coeffs, gamma_mod.GammaCoeffs(weights))
 
 
 def cost_from_decomposition(r: RecoveryOp) -> float:

@@ -349,6 +349,11 @@ BOUNDARY_CASES = {
     "kernel-printed-coupling-overflow": (
         ["kernel", "--mode", "printed", "--coupling", "1e308", "--wc-ts", "1e-308"], 2),
     "kernel-approx-gamma0-overflow": (["kernel", "--gamma0", "1e308"], 2),
+    # finite gamma0 and coupling whose Re k overflows
+    "kernel-quadrature-re-k-overflow": (
+        ["kernel", "--mode", "quadrature", "--gamma0", "1e307", "--steps", "3"], 2),
+    "kernel-approx-re-k-overflow": (
+        ["kernel", "--gamma0", "1e306", "--u-max", "1e3", "--steps", "3"], 2),
 }
 
 

@@ -1,12 +1,17 @@
+import functools
+import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
 from nmqem import channel
-from nmqem.channel import population_channel
-from nmqem.linalg import identity, mat_mul
+from nmqem.channel import population_channel, predict_table
+from nmqem.gamma import BASIS_ORDER, build_gamma_basis, decompose, reconstruct
+from nmqem.linalg import CMat, identity, mat_mul
 from nmqem.recovery import (
+    _MOMENTS,
+    _SPECTRUM,
     ALPHA_MAX,
     AlphaOutOfRange,
     DenominatorNearZero,
@@ -210,7 +215,7 @@ class TestRecoveryOp:
 
         basis = build_gamma_basis()
         for gate in ("swap", "identity"):
-            op = recovery_op(gate, 0.1, basis=basis)
+            op = recovery_op(gate, 0.1)
             assert reconstruct(basis, op.gamma).isclose(op.matrix, 1e-10)
 
     def test_closed_form_record(self):
@@ -218,3 +223,235 @@ class TestRecoveryOp:
         assert set(op.coeffs) == {"B", "C", "D", "E"}
         op = recovery_op("identity", 0.03)
         assert set(op.coeffs) == {"F", "G", "H"}
+
+
+@functools.lru_cache(maxsize=None)
+def exact_rate_matrix(gate):
+    """R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a} in Fractions,
+    from m_tensor over the gate's basis (its floats are exact dyadics)."""
+    mt = channel.m_tensor(channel.basis_for_gate(gate))
+    return tuple(
+        tuple(
+            (Fraction(mt.diag_sum(a, a)) if a == c else 0) - Fraction(mt.at(a, c, c, a))
+            for c in range(1, 5)
+        )
+        for a in range(1, 5)
+    )
+
+
+def exact_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+def exact_projector(rate, lam, spectrum):
+    """P_lam = prod over the other eigenvalues mu of (R - mu I) / (lam - mu)."""
+    p = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for mu in spectrum:
+        if mu != lam:
+            factor = [
+                [(rate[i][j] - mu * (i == j)) / (lam - mu) for j in range(4)] for i in range(4)
+            ]
+            p = exact_product(p, factor)
+    return p
+
+
+def table_projectors(gate):
+    """{l: P_l} of the literal table, as 4x4 Fractions."""
+    return {
+        lam: [[Fraction(p[4 * i + j]) for j in range(4)] for i in range(4)]
+        for lam, p, _ in _SPECTRUM[gate]
+    }
+
+
+GATES = ("swap", "identity")
+# forward's near-1/4 slices (perfbench/workloads.py _NEAR_QUARTER)
+NEAR_QUARTER = {"swap": (0.2466, 0.2499), "identity": (0.24991, 0.249995)}
+
+
+def near_quarter_alphas(gate, n=500):
+    rng = random.Random(20261018)
+    lo, hi = NEAR_QUARTER[gate]
+    return [rng.uniform(lo, hi) for _ in range(n)]
+
+
+class TestSpectralTable:
+    @pytest.mark.parametrize("gate", GATES)
+    def test_resolves_rate_matrix_and_identity(self, gate):
+        projectors = table_projectors(gate)
+        rate = exact_rate_matrix(gate)
+        for i in range(4):
+            for j in range(4):
+                assert sum(lam * p[i][j] for lam, p in projectors.items()) == rate[i][j]
+                assert sum(p[i][j] for p in projectors.values()) == int(i == j)
+        # the float moments recovery_op sums are these exactly
+        identity_sum, rate_sum, _ = _MOMENTS[gate][0]
+        assert identity_sum == [int(i == j) for i in range(4) for j in range(4)]
+        assert rate_sum == [x for row in rate for x in row]
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_projectors_are_orthogonal_idempotents(self, gate):
+        projectors = table_projectors(gate)
+        zero = [[0] * 4 for _ in range(4)]
+        for lam, p in projectors.items():
+            for mu, q in projectors.items():
+                assert exact_product(p, q) == (p if lam == mu else zero)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_literals_equal_exact_projectors(self, gate):
+        rate = exact_rate_matrix(gate)
+        spectrum = [lam for lam, _, _ in _SPECTRUM[gate]]
+        assert spectrum == [0, 1, 2]
+        for lam, p, _ in _SPECTRUM[gate]:
+            exact = exact_projector(rate, lam, spectrum)
+            assert [Fraction(x) for x in p] == [x for row in exact for x in row]
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_literal_weights_equal_decompose(self, gate):
+        basis = build_gamma_basis()
+        for _, p, weights in _SPECTRUM[gate]:
+            # dyadic entries times {0, +-1, +-i}: the trace formula is exact
+            want = decompose(basis, CMat(4, 4, p)).coeffs
+            assert set(weights) <= set(BASIS_ORDER)
+            assert {label: weights.get(label, 0) for label in BASIS_ORDER} == want
+
+
+def max_relative_error(got, exact):
+    scale = max(abs(float(x)) for row in exact for x in row)
+    return max(abs(got.at(i, j) - float(exact[i][j])) for i in range(4) for j in range(4)) / scale
+
+
+@pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
+class TestSpectralRecovery:
+    @pytest.mark.parametrize("gate", GATES)
+    def test_grid_against_exact_and_lu(self, gate):
+        for alpha in GRID:
+            exact = exact_inverse(gate, alpha)
+            op = recovery_op(gate, alpha)
+            assert max_relative_error(op.matrix, exact) <= 1e-13, alpha
+            lu = recovery_numeric(population_channel(gate, alpha))
+            scale = max(abs(e) for e in lu.entries)
+            assert op.matrix.isclose(lu, 1e-13 * scale), alpha
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_near_quarter_against_exact_and_lu(self, gate):
+        # Near 1/4 the LU inverse itself is off from the exact one by up to
+        # about 5e-12 of the largest entry (Identity); the spectral sum must be
+        # within 1e-13 of the exact inverse, and so its distance from the LU
+        # inverse must be the LU's own error plus at most 1e-13.
+        for alpha in near_quarter_alphas(gate):
+            exact = exact_inverse(gate, alpha)
+            op = recovery_op(gate, alpha)
+            assert max_relative_error(op.matrix, exact) <= 1e-13, alpha
+            lu = recovery_numeric(population_channel(gate, alpha))
+            scale = max(abs(float(x)) for row in exact for x in row)
+            gap = max(abs(a - b) for a, b in zip(op.matrix.entries, lu.entries)) / scale
+            assert gap <= max_relative_error(lu, exact) + 1e-13, alpha
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_weights_against_decompose(self, gate):
+        basis = build_gamma_basis()
+        for alpha in GRID + near_quarter_alphas(gate, 50):
+            op = recovery_op(gate, alpha)
+            scale = op.matrix.max_abs()
+            want = decompose(basis, op.matrix).coeffs
+            for label in BASIS_ORDER:
+                assert abs(op.gamma.coeffs[label] - want[label]) <= 1e-13 * scale, (alpha, label)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_small_entries_keep_relative_precision(self, gate):
+        # entries and weights of order alpha^2 (D, G) must not lose digits to
+        # cancellation between the O(1) terms of the spectral sum
+        basis = build_gamma_basis()
+        for alpha in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.05):
+            exact = exact_inverse(gate, alpha)
+            op = recovery_op(gate, alpha)
+            for i in range(4):
+                for j in range(4):
+                    got, want = Fraction(op.matrix.at(i, j).real), exact[i][j]
+                    assert abs(got - want) <= 1e-14 * abs(want), (alpha, i, j)
+            for label, g in zip(BASIS_ORDER, basis.matrices):
+                # c_r = tr(G_r^dagger M) / 4 in rationals; G_r entries are 0, +-1, +-i
+                re = sum(int(e.real) * exact[k // 4][k % 4] for k, e in enumerate(g.entries)) / 4
+                im = -sum(int(e.imag) * exact[k // 4][k % 4] for k, e in enumerate(g.entries)) / 4
+                got = op.gamma.coeffs[label]
+                assert abs(Fraction(got.real) - re) <= 1e-14 * abs(re), (alpha, label)
+                assert abs(Fraction(got.imag) - im) <= 1e-14 * abs(im), (alpha, label)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_checks_kept(self, gate):
+        with pytest.raises(ValueError):
+            recovery_op("cnot", 0.1)
+        for bad in (-0.01, 0.25, 0.3, 0.6, float("nan")):
+            with pytest.raises(AlphaOutOfRange):
+                recovery_op(gate, bad)
+        with pytest.raises(DenominatorNearZero):
+            recovery_op(gate, 0.25 - 1e-11)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_warning_matches_recovery_numeric(self, gate):
+        # alpha* where the closed-form determinant crosses 1e-4, by bisection
+        # in rationals; LU and closed form may round differently right at the
+        # crossing, so alpha within 1e-12 of it is left out
+        det = {"swap": lambda a: (1 - 2 * a) * (1 - 4 * a) ** 2,
+               "identity": lambda a: (1 - 2 * a) ** 2 * (1 - 4 * a)}[gate]
+        lo, hi = Fraction(1, 5), Fraction(1, 4)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if det(mid) > Fraction(1, 10**4) else (lo, mid)
+        crossing = float(lo)
+        alphas = [crossing + k * 1e-11 for k in range(-300, 301)]
+        alphas += [crossing + k * 1e-7 for k in range(-300, 301)]
+        alphas = [a for a in alphas if abs(a - crossing) > 1e-12 and a < ALPHA_MAX]
+        warned = {True: 0, False: 0}
+        for alpha in alphas:
+            with warnings.catch_warnings(record=True) as spectral:
+                warnings.simplefilter("always")
+                recovery_op(gate, alpha)
+            with warnings.catch_warnings(record=True) as numeric:
+                warnings.simplefilter("always")
+                recovery_numeric(population_channel(gate, alpha))
+            assert [str(w.message) for w in spectral] == [str(w.message) for w in numeric], alpha
+            warned[bool(spectral)] += 1
+        assert warned[True] > 500 and warned[False] > 500
+
+
+class TestClosedFormPath:
+    """recovery_op, predict_table and reconstruct give the same results with
+    the LU, trace and basis-conversion routes made to raise: the forward
+    layers use none of them."""
+
+    ALPHAS = (0.0, 0.03, 0.1, 0.2, 0.2468, 0.24992)
+
+    @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
+    def test_no_lu_trace_or_conversion(self, monkeypatch):
+        import sys
+
+        from nmqem import gamma, linalg
+
+        basis = build_gamma_basis()
+        before = {
+            (gate, alpha): (recovery_op(gate, alpha), predict_table(gate, alpha))
+            for gate in GATES
+            for alpha in self.ALPHAS
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense route called")
+
+        for module, name in ((linalg, "det"), (linalg, "mat_inv"), (gamma, "decompose"),
+                             (channel, "to_computational")):
+            original = getattr(module, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name == "nmqem" or mod_name.startswith("nmqem."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, forbidden)
+        with pytest.raises(AssertionError):
+            recovery_numeric(population_channel("swap", 0.1))
+
+        for (gate, alpha), (op_before, table_before) in before.items():
+            op = recovery_op(gate, alpha)
+            assert op == op_before
+            assert max_relative_error(op.matrix, exact_inverse(gate, alpha)) <= 1e-13
+            assert predict_table(gate, alpha) == table_before
+            assert reconstruct(basis, op.gamma).isclose(op.matrix, 1e-13 * op.matrix.max_abs())
