@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 from . import expdata, gamma, recovery
 from .channel import COMPUTATIONAL_LABELS, AlphaOutOfRange, input_labels, predict_table
@@ -234,7 +235,6 @@ def _estimate_report(path: str, gate_flag):
         )
     pt = expdata.normalize(ct)
     est = expdata.estimate_re_k(pt, ct.gate)
-    coupling = expdata.fit_coupling(est.lsq, 1.0) if est.lsq >= 0 else None
     report = {
         "gate": ct.gate,
         "device": ct.device,
@@ -251,7 +251,7 @@ def _estimate_report(path: str, gate_flag):
         "max": est.max,
         "lsq": est.lsq,
         "residual": est.residual,
-        "coupling_at_u1": coupling,
+        "coupling_at_u1": expdata.fit_coupling(est.lsq, 1.0),
         "lsq_note": "least-squares estimator is an extension beyond the published ranges",
     }
     ref = expdata.divergence_flags(est, ct.gate, ct.device)
@@ -452,15 +452,20 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     # Output is buffered so that a failing command prints nothing and leaves
-    # no --out file behind.
+    # no --out file behind. Warnings are reported as one line each once the
+    # command has succeeded; a failure reports only its error.
     buffer = io.StringIO()
     try:
-        code = args.func(args, buffer)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code = args.func(args, buffer)
         if args.out is None:
             sys.stdout.write(buffer.getvalue())
         else:
             with open(args.out, "w") as fh:
                 fh.write(buffer.getvalue())
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         return code
     except (AlphaOutOfRange, recovery.DenominatorNearZero, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

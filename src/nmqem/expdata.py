@@ -287,7 +287,9 @@ def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
             per_cell.append(CellEstimate(in_labels[j], OUTCOMES[i], role, est))
             if role == ROLE_ALPHA:
                 alpha_cells.append(est)
-    lsq = num / den
+    # Every column adds a nonnegative amount to num in exact arithmetic (its
+    # probabilities sum to one), so a negative quotient is rounding.
+    lsq = max(0.0, num / den)
     ssr = 0.0
     for i in range(4):
         for j in range(4):

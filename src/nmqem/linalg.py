@@ -18,7 +18,6 @@ __all__ = [
     "NonConvergence",
     "mat_mul",
     "mat_inv",
-    "kron2",
     "solve_linear",
     "integrate",
     "identity",
@@ -209,19 +208,6 @@ def solve_linear(a: CMat, y: Sequence[complex]) -> list:
     lu, perm, sign = _lu_decompose(a)
     _check_singular(a, lu, sign)
     return _lu_solve(lu, perm, y)
-
-
-def kron2(a: CMat, b: CMat) -> CMat:
-    """Tensor product of two 2x2 matrices in the {|00>,|01>,|10>,|11>} order."""
-    if (a.rows, a.cols) != (2, 2) or (b.rows, b.cols) != (2, 2):
-        raise ShapeError("kron2 requires two 2x2 matrices")
-    out = []
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                for l in range(2):
-                    out.append(a.at(i, j) * b.at(k, l))
-    return CMat(4, 4, tuple(out))
 
 
 def _simpson(f, a, b, fa, fm, fb):

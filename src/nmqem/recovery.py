@@ -7,12 +7,13 @@ projectors P_l, V = sum_l (1 - 2 l alpha) P_l, so the recovery operator is
     V^-1 = P_0 + P_1 / (1 - 2 alpha) + P_2 / (1 - 4 alpha),
 
 and its Gamma expansion weights are the same sum over the constant weights
-c(P_l) of each projector. ``recovery_op`` evaluates both sums from one
-literal per-gate table, grouped by powers of alpha so that entries of order
-alpha^2 keep their relative precision (``_resolvent``); it inverts nothing
-and takes no traces. Its closed-form record holds the coefficients
-(B, C, D, E) or (F, G, H) in their factored forms over 1 - 2 alpha and
-1 - 4 alpha, from which the printed costs are computed.
+c(P_l) of each projector. Both P_l and c(P_l) are derived once per process
+from channel's R, which is the only per-gate literal (``_SPECTRUM``).
+``recovery_op`` evaluates both sums grouped by powers of alpha so that
+entries of order alpha^2 keep their relative precision (``_resolvent``); it
+inverts nothing and takes no traces. Its closed-form record holds the
+coefficients (B, C, D, E) or (F, G, H) in their factored forms over
+1 - 2 alpha and 1 - 4 alpha, from which the printed costs are computed.
 
 Independent oracles, which the tests compare with the spectral route:
 ``recovery_numeric`` (LU inverse of the channel matrix),
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import AlphaOutOfRange, Channel
-from .linalg import CMat, det, mat_inv
+from .channel import _RATE_MATRIX, AlphaOutOfRange, Channel
+from .linalg import CMat, det, identity, mat_inv, mat_mul
 
 __all__ = [
     "RecoveryOp",
@@ -96,78 +97,31 @@ def _check_denominator(den: float, alpha: float):
         raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
 
 
-# Spectral table of each gate's rate matrix R: one row (l, P_l, c(P_l)) per
-# distinct eigenvalue l, where P_l is the orthogonal projector onto its
-# eigenspace (16 row-major entries, all dyadic, so the floats are exact) and
-# c(P_l) holds its nonzero Gamma weights tr(G_r^dagger P_l) / 4. The rows
-# satisfy sum_l l P_l = R, sum_l P_l = I and P_l P_m = delta_lm P_l; the
-# recovery tests check every entry against m_tensor and decompose exactly.
-_SPECTRUM = {
-    "swap": (
-        (
-            0,
-            (
-                0.25, 0.25, 0.25, 0.25,
-                0.25, 0.25, 0.25, 0.25,
-                0.25, 0.25, 0.25, 0.25,
-                0.25, 0.25, 0.25, 0.25,
-            ),
-            {"I": 0.25, "g1": 0.25, "g2g3": -0.25j, "g5g0": -0.25j},
-        ),
-        (
-            1,
-            (
-                0.5, 0.0, -0.5, 0.0,
-                0.0, 0.0, 0.0, 0.0,
-                -0.5, 0.0, 0.5, 0.0,
-                0.0, 0.0, 0.0, 0.0,
-            ),
-            {"I": 0.25, "g3": -0.25, "g1g2": -0.25j, "g5g0": 0.25j},
-        ),
-        (
-            2,
-            (
-                0.25, -0.25, 0.25, -0.25,
-                -0.25, 0.75, -0.25, -0.25,
-                0.25, -0.25, 0.25, -0.25,
-                -0.25, -0.25, -0.25, 0.75,
-            ),
-            {"I": 0.5, "g1": -0.25, "g3": 0.25, "g1g2": 0.25j, "g2g3": 0.25j},
-        ),
-    ),
-    "identity": (
-        (
-            0,
-            (
-                0.25, 0.25, 0.25, 0.25,
-                0.25, 0.25, 0.25, 0.25,
-                0.25, 0.25, 0.25, 0.25,
-                0.25, 0.25, 0.25, 0.25,
-            ),
-            {"I": 0.25, "g1": 0.25, "g2g3": -0.25j, "g5g0": -0.25j},
-        ),
-        (
-            1,
-            (
-                0.5, 0.0, 0.0, -0.5,
-                0.0, 0.5, -0.5, 0.0,
-                0.0, -0.5, 0.5, 0.0,
-                -0.5, 0.0, 0.0, 0.5,
-            ),
-            {"I": 0.5, "g1": -0.5},
-        ),
-        (
-            2,
-            (
-                0.25, -0.25, -0.25, 0.25,
-                -0.25, 0.25, 0.25, -0.25,
-                -0.25, 0.25, 0.25, -0.25,
-                0.25, -0.25, -0.25, 0.25,
-            ),
-            {"I": 0.25, "g1": 0.25, "g2g3": 0.25j, "g5g0": 0.25j},
-        ),
-    ),
-}
+def _spectrum(rate) -> tuple:
+    """One row (l, P_l, c(P_l)) per eigenvalue l in {0, 1, 2} of the rate
+    matrix R: the Lagrange projector P_l = (R - m I)(R - n I) / ((l - m)(l - n))
+    over the other two eigenvalues m, n, as 16 row-major floats, and c(P_l)
+    its nonzero Gamma weights tr(G_r^dagger P_l) / 4. R's entries are halves
+    and (l - m)(l - n) is 2 or -1, so every entry is a small dyadic and the
+    floats are exact; so are the traces, dyadics times {0, +-1, +-i}."""
+    basis = gamma_mod.build_gamma_basis()
+    r = CMat.from_rows(rate)
+    shifted = [r.add(identity(4).scaled(-mu)) for mu in (0, 1, 2)]
+    rows = []
+    for lam in (0, 1, 2):
+        m, n = (mu for mu in (0, 1, 2) if mu != lam)
+        p = mat_mul(shifted[m], shifted[n]).scaled(1 / ((lam - m) * (lam - n)))
+        weights = gamma_mod.decompose(basis, p).coeffs
+        # real weights as floats, so that recovery_op sums them in floats
+        weights = {k: w.real if not w.imag else w for k, w in weights.items() if w}
+        rows.append((lam, tuple(e.real for e in p.entries), weights))
+    return tuple(rows)
+
+
+# Each gate's spectral table, derived once from channel's rate matrix R. The
+# rows satisfy sum_l l P_l = R, sum_l P_l = I and P_l P_m = delta_lm P_l; the
+# recovery tests check every entry against m_tensor in rationals.
+_SPECTRUM = {gate: _spectrum(rate) for gate, rate in _RATE_MATRIX.items()}
 
 
 def _moments(vectors):

@@ -270,6 +270,31 @@ class TestEstimate:
         _, second, _ = run_cli(["estimate", "--counts", SWAP_IBM], capsys)
         assert first == second
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_rounding_never_makes_lsq_negative(self, fmt, capsys, tmp_path):
+        # in floats num rounds to -5.55e-18 on this table; exactly it is >= 0
+        runs = {"m1": {"00": 100}, "m2": {"10": 100}, "m3": {"11": 100},
+                "m4": {"01": 7, "10": 93}}
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({
+            "gate": "swap", "device": "test", "shots": 100,
+            "runs": [{"input": k, "counts": v} for k, v in runs.items()],
+        }))
+        code, out, err = run_cli(["estimate", "--counts", str(path), "--format", fmt], capsys)
+        assert code == 0 and err == ""
+        assert "None" not in out and "null" not in out
+        if fmt == "csv":
+            row = dict(zip(*(line.split(",") for line in out.splitlines())))
+            lsq, coupling = float(row["lsq"]), float(row["coupling_at_u1"])
+        elif fmt == "json":
+            report = json.loads(out)
+            lsq, coupling = report["lsq"], report["coupling_at_u1"]
+        else:
+            fields = dict(line.split(":", 1) for line in out.splitlines()[:7])
+            lsq = float(fields["lsq"].split()[0])
+            coupling = float(fields["coupling at u=1"])
+        assert lsq >= 0 and coupling >= 0
+
 
 class TestDecompose:
     def test_identity_json(self, capsys):
@@ -301,6 +326,18 @@ class TestDecompose:
     def test_alpha_out_of_domain(self, capsys):
         code, _, _ = run_cli(["decompose", "--gate", "swap", "--alpha", "0.3"], capsys)
         assert code == 2
+
+    def test_near_singular_warning_is_one_stderr_line(self, capsys, tmp_path):
+        argv = ["decompose", "--gate", "identity", "--alpha", "0.24995"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert out.startswith("gate: identity")
+        want = "warning: channel nearly singular at alpha=0.24995; inverse is ill-conditioned\n"
+        assert err == want
+        target = tmp_path / "decompose.txt"
+        code, out_with_file, err_with_file = run_cli(argv + ["--out", str(target)], capsys)
+        assert (code, out_with_file, err_with_file) == (0, "", want)
+        assert target.read_text() == out
 
 
 class TestUsage:

@@ -11,7 +11,6 @@ from nmqem.linalg import (
     det,
     identity,
     integrate,
-    kron2,
     mat_inv,
     mat_mul,
     solve_linear,
@@ -91,8 +90,13 @@ class TestMatInv:
         # (1-2a)I + a(X (x) I + I (x) X) at a = 0.05; leading inverse entry
         # is 0.7245/0.648.
         a = 0.05
-        m = identity(4).scaled(1 - 2 * a).add(
-            kron2(X2, I2).scaled(a).add(kron2(I2, X2).scaled(a))
+        m = CMat.from_rows(
+            [
+                [1 - 2 * a, a, a, 0],
+                [a, 1 - 2 * a, 0, a],
+                [a, 0, 1 - 2 * a, a],
+                [0, a, a, 1 - 2 * a],
+            ]
         )
         inv = mat_inv(m)
         assert inv.at(0, 0).real == pytest.approx(1.118056, abs=1e-6)
@@ -108,30 +112,6 @@ class TestMatInv:
         m = CMat.from_rows([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         with pytest.raises(SingularMatrix):
             mat_inv(m)
-
-
-class TestKron2:
-    def test_identity(self):
-        assert kron2(I2, I2).entries == identity(4).entries
-
-    def test_x_tensor_x_is_antidiagonal(self):
-        m = kron2(X2, X2)
-        expected = CMat.from_rows(
-            [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-        )
-        assert m.entries == expected.entries
-
-    def test_bilinear(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            a, b, c = (random_cmat(rng, 2) for _ in range(3))
-            lhs = kron2(a.add(b), c)
-            rhs = kron2(a, c).add(kron2(b, c))
-            assert lhs.isclose(rhs, 1e-14)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            kron2(identity(4), I2)
 
 
 class TestSolveLinear:

@@ -255,8 +255,19 @@ def exact_projector(rate, lam, spectrum):
     return p
 
 
+def exact_weights(m):
+    """{label: (re, im)} of c_r = tr(G_r^dagger M) / 4 in rationals, for a 4x4
+    matrix M of Fractions; G_r entries are 0, +-1, +-i."""
+    weights = {}
+    for label, g in zip(BASIS_ORDER, build_gamma_basis().matrices):
+        re = sum(int(e.real) * m[k // 4][k % 4] for k, e in enumerate(g.entries)) / 4
+        im = -sum(int(e.imag) * m[k // 4][k % 4] for k, e in enumerate(g.entries)) / 4
+        weights[label] = (re, im)
+    return weights
+
+
 def table_projectors(gate):
-    """{l: P_l} of the literal table, as 4x4 Fractions."""
+    """{l: P_l} of the spectral table, as 4x4 Fractions."""
     return {
         lam: [[Fraction(p[4 * i + j]) for j in range(4)] for i in range(4)]
         for lam, p, _ in _SPECTRUM[gate]
@@ -314,6 +325,16 @@ class TestSpectralTable:
             assert set(weights) <= set(BASIS_ORDER)
             assert {label: weights.get(label, 0) for label in BASIS_ORDER} == want
 
+    @pytest.mark.parametrize("gate", GATES)
+    def test_weights_equal_exact_trace_formula(self, gate):
+        # the table's weights against the trace formula in rationals on the
+        # Lagrange projectors built from m_tensor, without decompose
+        rate = exact_rate_matrix(gate)
+        for lam, _, weights in _SPECTRUM[gate]:
+            exact = exact_weights(exact_projector(rate, lam, [0, 1, 2]))
+            got = {label: (Fraction(w.real), Fraction(w.imag)) for label, w in weights.items()}
+            assert got == {label: c for label, c in exact.items() if c != (0, 0)}
+
 
 def max_relative_error(got, exact):
     scale = max(abs(float(x)) for row in exact for x in row)
@@ -361,7 +382,6 @@ class TestSpectralRecovery:
     def test_small_entries_keep_relative_precision(self, gate):
         # entries and weights of order alpha^2 (D, G) must not lose digits to
         # cancellation between the O(1) terms of the spectral sum
-        basis = build_gamma_basis()
         for alpha in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.05):
             exact = exact_inverse(gate, alpha)
             op = recovery_op(gate, alpha)
@@ -369,10 +389,7 @@ class TestSpectralRecovery:
                 for j in range(4):
                     got, want = Fraction(op.matrix.at(i, j).real), exact[i][j]
                     assert abs(got - want) <= 1e-14 * abs(want), (alpha, i, j)
-            for label, g in zip(BASIS_ORDER, basis.matrices):
-                # c_r = tr(G_r^dagger M) / 4 in rationals; G_r entries are 0, +-1, +-i
-                re = sum(int(e.real) * exact[k // 4][k % 4] for k, e in enumerate(g.entries)) / 4
-                im = -sum(int(e.imag) * exact[k // 4][k % 4] for k, e in enumerate(g.entries)) / 4
+            for label, (re, im) in exact_weights(exact).items():
                 got = op.gamma.coeffs[label]
                 assert abs(Fraction(got.real) - re) <= 1e-14 * abs(re), (alpha, label)
                 assert abs(Fraction(got.imag) - im) <= 1e-14 * abs(im), (alpha, label)
