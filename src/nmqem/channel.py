@@ -15,7 +15,6 @@ distribution for pure input state c.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -105,7 +104,6 @@ class Basis4:
 
     name: str
     vectors: Tuple[Tuple[complex, ...], ...]
-    energies: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     exact_vectors: Optional[Tuple[Tuple[ExactScalar, ...], ...]] = field(
         default=None, compare=False
     )
@@ -134,7 +132,7 @@ _EX_S = _ex(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2 / 2
 _EX_ONE = _ex(1)
 
 
-def multiplet_basis(energies=(0.0, 0.0, 0.0, 0.0)) -> Basis4:
+def multiplet_basis() -> Basis4:
     """Exchange-symmetric basis diagonalizing the SWAP interaction:
     {|00>, (|01>+|10>)/sqrt2, |11>, (|01>-|10>)/sqrt2}."""
     neg_s = _ex(0, Fraction(-1, 2))
@@ -146,7 +144,6 @@ def multiplet_basis(energies=(0.0, 0.0, 0.0, 0.0)) -> Basis4:
             (0.0, 0.0, 0.0, 1.0),
             (0.0, _S, -_S, 0.0),
         ),
-        tuple(energies),
         exact_vectors=(
             (_EX_ONE, _EX_ZERO, _EX_ZERO, _EX_ZERO),
             (_EX_ZERO, _EX_S, _EX_S, _EX_ZERO),
@@ -156,7 +153,7 @@ def multiplet_basis(energies=(0.0, 0.0, 0.0, 0.0)) -> Basis4:
     )
 
 
-def computational_basis(energies=(0.0, 0.0, 0.0, 0.0)) -> Basis4:
+def computational_basis() -> Basis4:
     return Basis4(
         "computational",
         (
@@ -165,7 +162,6 @@ def computational_basis(energies=(0.0, 0.0, 0.0, 0.0)) -> Basis4:
             (0.0, 0.0, 1.0, 0.0),
             (0.0, 0.0, 0.0, 1.0),
         ),
-        tuple(energies),
         exact_vectors=tuple(
             tuple(_EX_ONE if p == i else _EX_ZERO for p in range(4)) for i in range(4)
         ),
@@ -269,26 +265,23 @@ def m_tensor(basis: Basis4) -> MTensor:
 
 
 def v_element(
-    basis: Basis4,
     mt: MTensor,
     k: complex,
     a: int,
     b: int,
     c: int,
     d: int,
-    t: float = 0.0,
 ) -> complex:
-    """Matrix element of the noisy evolution superoperator, one-indexed."""
+    """Matrix element of the noisy evolution superoperator over the basis of
+    ``mt``, one-indexed."""
     d_ac = 1.0 if a == c else 0.0
     d_bd = 1.0 if b == d else 0.0
     m_acdb = mt.at(a, c, d, b)
-    phase = cmath.exp(-1j * t * (basis.energies[a - 1] - basis.energies[b - 1]))
-    value = (
+    return (
         d_ac * d_bd
         - (d_bd * mt.diag_sum(a, c) - m_acdb) * k
         - (d_ac * mt.diag_sum(a, b) - m_acdb) * k.conjugate()
     )
-    return phase * value
 
 
 @dataclass(frozen=True)
@@ -364,9 +357,14 @@ def to_computational(populations: Sequence[float], basis: Basis4):
 def _population_weights(gate: str):
     """|<beta|a>|^2 for the gate's basis state a and computational state
     beta, indexed [beta][a]: the weights ``to_computational`` applies,
-    computed once per gate."""
-    vectors = basis_for_gate(gate).vectors
-    return tuple(tuple(abs(vectors[a][beta]) ** 2 for a in range(4)) for beta in range(4))
+    computed once per gate from the exact amplitudes, so that (1/sqrt2)^2
+    is 1/2 and not 0.4999999999999999."""
+    vectors = basis_for_gate(gate).exact_vectors
+    return tuple(
+        tuple(_ex_to_complex(_ex_mul(vectors[a][beta], _ex_conj(vectors[a][beta]))).real
+              for a in range(4))
+        for beta in range(4)
+    )
 
 
 def predict_table(gate: str, alpha: float):

@@ -112,7 +112,10 @@ def cmd_gamma_check(args, out) -> int:
 
 
 def _u_grid(u_max: float, steps: int):
-    return [u_max * i / (steps - 1) for i in range(steps)]
+    grid = [u_max * i / (steps - 1) for i in range(steps)]
+    if not math.isfinite(grid[-1]):  # u_max * (steps - 1) overflows
+        raise OverflowError(f"the u grid overflows at --u-max {u_max} with --steps {steps}")
+    return grid
 
 
 def cmd_kernel(args, out) -> int:
@@ -125,6 +128,8 @@ def cmd_kernel(args, out) -> int:
             if args.mode == "approx":
                 rows.append([coupling, u, re_k_approx(coupling, u)])
             else:
+                if not math.isfinite(args.wc_ts * u):
+                    raise OverflowError(f"wc_ts * u overflows at wc_ts={args.wc_ts}, u={u}")
                 params = KernelParams(
                     gamma0=coupling / args.wc_ts,
                     delta0=args.delta0,
@@ -161,6 +166,8 @@ def cmd_cost(args, out) -> int:
     for coupling in args.coupling:
         for u in _u_grid(args.u_max, args.steps):
             alpha = re_k_approx(coupling, u)
+            if not math.isfinite(alpha):
+                raise OverflowError(f"alpha overflows at coupling={coupling}, u={u}")
             if alpha >= ALPHA_MAX:
                 rows.append([coupling, u, alpha, None])  # out of domain, flagged
             else:

@@ -226,38 +226,19 @@ _ROLE_MODEL = {
 
 @lru_cache(maxsize=None)
 def classify_cells(gate: str):
-    """Symbolic role of every (output, input) cell, derived from the channel
-    algebra by probing the predicted table at two alpha values. The roles
+    """Symbolic role of every (output, input) cell, read from the predicted
+    table at alpha = 0 and 1/4: the intercept a and slope 4 (p(1/4) - a) of
+    each cell, both exact in floats, looked up in the role model. The roles
     depend only on the gate, so they are computed once per gate."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
-    probe = 0.1
+    role_of = {model: role for role, model in _ROLE_MODEL.items()}
     at0 = predict_table(gate, 0.0)
-    at1 = predict_table(gate, probe)
-    roles = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            a = at0[i][j]
-            b = (at1[i][j] - a) / probe
-            for role, (ra, rb) in _ROLE_MODEL.items():
-                if abs(a - ra) < 1e-9 and abs(b - rb) < 1e-9:
-                    row.append(role)
-                    break
-            else:
-                raise AssertionError(f"cell ({i},{j}) does not match any role")
-        roles.append(tuple(row))
-    return tuple(roles)
-
-
-def _invert_cell(role: str, p: float) -> float:
-    if role == ROLE_ALPHA:
-        return p
-    if role == ROLE_ONE_MINUS_2A:
-        return (1.0 - p) / 2.0
-    if role == ROLE_HALF:
-        return (1.0 - 2.0 * p) / 2.0
-    raise ValueError(f"role {role} is not invertible")
+    at_quarter = predict_table(gate, 0.25)
+    return tuple(
+        tuple(role_of[a, 4.0 * (q - a)] for a, q in zip(row0, row_quarter))
+        for row0, row_quarter in zip(at0, at_quarter)
+    )
 
 
 def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
@@ -283,7 +264,8 @@ def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
             den += rb * rb
             if role == ROLE_ZERO:
                 continue
-            est = _invert_cell(role, p)
+            # + 0.0: a cell at its role's intercept estimates 0, never -0
+            est = (p - ra) / rb + 0.0
             per_cell.append(CellEstimate(in_labels[j], OUTCOMES[i], role, est))
             if role == ROLE_ALPHA:
                 alpha_cells.append(est)

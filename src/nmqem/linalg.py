@@ -75,9 +75,6 @@ class CMat:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def scaled(self, factor: complex) -> "CMat":
         return CMat(self.rows, self.cols, tuple(factor * e for e in self.entries))
 

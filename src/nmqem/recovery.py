@@ -1,19 +1,21 @@
 """Recovery operators and mitigation cost functions.
 
 Each gate's population channel is V = delta - 2 alpha R (``channel``), and its
-rate matrix R has the distinct eigenvalues l in {0, 1, 2}. With R's spectral
-projectors P_l, V = sum_l (1 - 2 l alpha) P_l, so the recovery operator is
+rate matrix R has the eigenvalues l in {0, 1, 2}, so R's spectral projectors
+are polynomials in R: P_1 = 2R - R^2 and P_2 = (R^2 - R)/2. The recovery
+operator V^-1 = sum_l P_l / (1 - 2 l alpha) therefore needs only I, R and R^2:
 
-    V^-1 = P_0 + P_1 / (1 - 2 alpha) + P_2 / (1 - 4 alpha),
+    V^-1 = I + 2 alpha R + 4 alpha^2 [P_1 / (1 - 2 alpha) + 4 P_2 / (1 - 4 alpha)],
 
-and its Gamma expansion weights are the same sum over the constant weights
-c(P_l) of each projector. Both P_l and c(P_l) are derived once per process
-from channel's R, which is the only per-gate literal (``_SPECTRUM``).
-``recovery_op`` evaluates both sums grouped by powers of alpha so that
-entries of order alpha^2 keep their relative precision (``_resolvent``); it
-inverts nothing and takes no traces. Its closed-form record holds the
-coefficients (B, C, D, E) or (F, G, H) in their factored forms over
-1 - 2 alpha and 1 - 4 alpha, from which the printed costs are computed.
+and its Gamma expansion weights are the same linear form in the constant
+weights of I, R, P_1 and P_2. These four rows, entries and weights, are
+derived once per process from channel's R, which is the only per-gate
+literal (``_TABLE``). ``recovery_op`` evaluates the form in one pass; grouped
+by powers of alpha, entries of order alpha^2 keep their relative precision
+(``_resolvent``). It inverts nothing and takes no traces. Its closed-form
+record holds the coefficients (B, C, D, E) or (F, G, H) in their factored
+forms over 1 - 2 alpha and 1 - 4 alpha, from which the printed costs are
+computed.
 
 Independent oracles, which the tests compare with the spectral route:
 ``recovery_numeric`` (LU inverse of the channel matrix),
@@ -97,75 +99,46 @@ def _check_denominator(den: float, alpha: float):
         raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
 
 
-def _spectrum(rate) -> tuple:
-    """One row (l, P_l, c(P_l)) per eigenvalue l in {0, 1, 2} of the rate
-    matrix R: the Lagrange projector P_l = (R - m I)(R - n I) / ((l - m)(l - n))
-    over the other two eigenvalues m, n, as 16 row-major floats, and c(P_l)
-    its nonzero Gamma weights tr(G_r^dagger P_l) / 4. R's entries are halves
-    and (l - m)(l - n) is 2 or -1, so every entry is a small dyadic and the
-    floats are exact; so are the traces, dyadics times {0, +-1, +-i}."""
-    basis = gamma_mod.build_gamma_basis()
+def _table(rate) -> tuple:
+    """The labels and the four rows I, R, P_1 = 2R - R^2 and P_2 = (R^2 - R)/2
+    of one gate, with R its rate matrix. P_1 and P_2 are R's spectral
+    projectors for the eigenvalues 1 and 2 (R(R - I)(R - 2I) = 0). Each row
+    holds its 16 row-major entries and then its Gamma weights
+    tr(G_r^dagger M) / 4 on the labels that are nonzero in some row. R's
+    entries are halves, so every entry and weight is a small dyadic and the
+    floats are exact."""
     r = CMat.from_rows(rate)
-    shifted = [r.add(identity(4).scaled(-mu)) for mu in (0, 1, 2)]
-    rows = []
-    for lam in (0, 1, 2):
-        m, n = (mu for mu in (0, 1, 2) if mu != lam)
-        p = mat_mul(shifted[m], shifted[n]).scaled(1 / ((lam - m) * (lam - n)))
-        weights = gamma_mod.decompose(basis, p).coeffs
+    r2 = mat_mul(r, r)
+    rows = (identity(4), r, r.scaled(2).add(r2.scaled(-1)), r2.add(r.scaled(-1)).scaled(0.5))
+    basis = gamma_mod.build_gamma_basis()
+    weights = [gamma_mod.decompose(basis, m).coeffs for m in rows]
+    labels = tuple(label for label in gamma_mod.BASIS_ORDER if any(c[label] for c in weights))
+    return labels, tuple(
+        tuple(e.real for e in m.entries)
         # real weights as floats, so that recovery_op sums them in floats
-        weights = {k: w.real if not w.imag else w for k, w in weights.items() if w}
-        rows.append((lam, tuple(e.real for e in p.entries), weights))
-    return tuple(rows)
-
-
-# Each gate's spectral table, derived once from channel's rate matrix R. The
-# rows satisfy sum_l l P_l = R, sum_l P_l = I and P_l P_m = delta_lm P_l; the
-# recovery tests check every entry against m_tensor in rationals.
-_SPECTRUM = {gate: _spectrum(rate) for gate, rate in _RATE_MATRIX.items()}
-
-
-def _moments(vectors):
-    """(sum_l v_l, sum_l l v_l, the pairs (l, v_l) with l > 0) for the
-    pairs (l, v_l) of one gate; sums of dyadic floats, so exact."""
-    return (
-        [sum(column) for column in zip(*(v for _, v in vectors))],
-        [sum(column) for column in zip(*(tuple(lam * x for x in v) for lam, v in vectors))],
-        tuple((lam, v) for lam, v in vectors if lam),
+        + tuple(c[label].real if not c[label].imag else c[label] for label in labels)
+        for m, c in zip(rows, weights)
     )
 
 
-def _weight_moments(spectrum):
-    """The labels with a nonzero weight in some c(P_l), and the moments of
-    the c(P_l) over those labels."""
-    labels = tuple(
-        label for label in gamma_mod.BASIS_ORDER if any(label in c for _, _, c in spectrum)
-    )
-    weights = [(lam, tuple(c.get(label, 0) for label in labels)) for lam, _, c in spectrum]
-    return labels, _moments(weights)
+# Each gate's table, derived once from channel's rate matrix R; the recovery
+# tests check every row against m_tensor in rationals.
+_TABLE = {gate: _table(rate) for gate, rate in _RATE_MATRIX.items()}
 
 
-# Per gate, the moments of the projectors and of their Gamma weights: the
-# form _resolvent takes.
-_MOMENTS = {
-    gate: (_moments([(lam, p) for lam, p, _ in spectrum]), _weight_moments(spectrum))
-    for gate, spectrum in _SPECTRUM.items()
-}
-
-
-def _resolvent(moments, alpha: float) -> list:
-    """sum_l v_l / (1 - 2 l alpha), evaluated as
-    sum_l v_l + 2 alpha sum_l l v_l + 4 alpha^2 sum_l l^2 v_l / (1 - 2 l alpha),
-    the same sum by 1/(1 - x) = 1 + x + x^2 / (1 - x). Grouped by powers of
-    alpha, an entry of order alpha or alpha^2 keeps its relative precision,
-    which the plain sum loses to cancellation at small alpha."""
-    v0, v1, tail = moments
-    t = [0.0] * len(v0)
-    for lam, v in tail:
-        s = lam * lam / (1.0 - 2.0 * lam * alpha)
-        t = [x + s * y for x, y in zip(t, v)]
+def _resolvent(rows, alpha: float) -> list:
+    """V^-1 = I + 2 alpha R + 4 alpha^2 [P_1 / (1 - 2 alpha) + 4 P_2 / (1 - 4 alpha)],
+    entry by entry over the rows (I, R, P_1, P_2): the spectral sum
+    sum_l P_l / (1 - 2 l alpha) by 1/(1 - x) = 1 + x + x^2 / (1 - x), with
+    sum_l P_l = I and sum_l l P_l = R. Grouped by powers of alpha, an entry
+    of order alpha or alpha^2 keeps its relative precision, which the plain
+    sum loses to cancellation at small alpha."""
     a = 2.0 * alpha
     b = a * a
-    return [x + a * y + b * z for x, y, z in zip(v0, v1, t)]
+    s1 = 1.0 / (1.0 - 2.0 * alpha)
+    s2 = 4.0 / (1.0 - 4.0 * alpha)
+    # 0.0 + ...: the alpha^2 bracket of a zero entry is +0.0, never -0.0
+    return [x + a * y + b * ((0.0 + s1 * z) + s2 * w) for x, y, z, w in zip(*rows)]
 
 
 def _coefficients(alpha: float) -> Tuple[float, float, float, float]:
@@ -266,13 +239,13 @@ class RecoveryOp:
 
 
 def recovery_op(gate: str, alpha: float) -> RecoveryOp:
-    """Build the recovery operator for a gate: the spectral sum
-    sum_l P_l / (1 - 2 l alpha) for the matrix and its Gamma weights, and the
-    closed-form coefficient record. Warns as ``recovery_numeric`` does when
-    the channel determinant, the product of its eigenvalues 1 - 2 l alpha,
-    falls below 1e-4."""
-    moments = _MOMENTS.get(gate)
-    if moments is None:
+    """Build the recovery operator for a gate: V^-1 and its Gamma weights
+    from the gate's rows I, R, P_1 and P_2 in one pass, and the closed-form
+    coefficient record. Warns as ``recovery_numeric`` does when the channel
+    determinant, the product of its eigenvalues 1 - 2 l alpha, falls below
+    1e-4."""
+    table = _TABLE.get(gate)
+    if table is None:
         raise ValueError(f"unknown gate {gate!r}")
     _check_alpha(alpha)
     _warn_if_nearly_singular(_DENOMINATOR[gate](alpha), alpha)
@@ -280,10 +253,11 @@ def recovery_op(gate: str, alpha: float) -> RecoveryOp:
         coeffs = dict(zip("BCDE", closed_form_swap(alpha)))
     else:
         coeffs = dict(zip("FGH", closed_form_id(alpha)))
-    matrix_moments, (labels, weight_moments) = moments
-    matrix = CMat(4, 4, _resolvent(matrix_moments, alpha))
+    labels, rows = table
+    values = _resolvent(rows, alpha)
+    matrix = CMat(4, 4, values[:16])
     weights = dict.fromkeys(gamma_mod.BASIS_ORDER, 0j)
-    weights.update(zip(labels, _resolvent(weight_moments, alpha)))
+    weights.update(zip(labels, values[16:]))
     return RecoveryOp(gate, alpha, matrix, coeffs, gamma_mod.GammaCoeffs(weights))
 
 

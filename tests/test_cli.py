@@ -391,6 +391,12 @@ BOUNDARY_CASES = {
         ["kernel", "--mode", "quadrature", "--gamma0", "1e307", "--steps", "3"], 2),
     "kernel-approx-re-k-overflow": (
         ["kernel", "--gamma0", "1e306", "--u-max", "1e3", "--steps", "3"], 2),
+    # alpha overflows (out of domain, so the cost cell alone would be empty)
+    "cost-alpha-overflow": (
+        ["cost", "--gate", "swap", "--coupling", "1e308", "--u-max", "1e10", "--steps", "2"], 2),
+    # finite wc_ts and u whose product, the sine integral's argument, overflows
+    "kernel-printed-wc-ts-u-overflow": (
+        ["kernel", "--mode", "printed", "--wc-ts", "1e308", "--u-max", "10", "--steps", "2"], 2),
 }
 
 

@@ -223,7 +223,28 @@ class TestClassifyCells:
 
     @pytest.mark.parametrize("gate", ["swap", "identity"])
     def test_cached_roles_equal_the_probe(self, gate):
+        # the exact lookup against a probe of the table at alpha = 0 and 0.1,
+        # matched to the role model within 1e-9
+        models = {
+            ROLE_ALPHA: (0.0, 1.0),
+            ROLE_ONE_MINUS_2A: (1.0, -2.0),
+            ROLE_HALF: (0.5, -1.0),
+            ROLE_ZERO: (0.0, 0.0),
+        }
+        at0, at1 = predict_table(gate, 0.0), predict_table(gate, 0.1)
+        probed = tuple(
+            tuple(
+                next(
+                    role
+                    for role, (a, b) in models.items()
+                    if abs(at0[i][j] - a) < 1e-9 and abs((at1[i][j] - at0[i][j]) / 0.1 - b) < 1e-9
+                )
+                for j in range(4)
+            )
+            for i in range(4)
+        )
         roles = classify_cells(gate)
+        assert roles == probed
         assert roles == classify_cells.__wrapped__(gate)
         assert classify_cells(gate) is roles
         assert all(isinstance(row, tuple) for row in roles)
@@ -266,6 +287,34 @@ class TestEstimate:
         assert len(est.per_cell) == 14  # 16 cells minus the 2 structural zeros
         alpha_cells = [c for c in est.per_cell if c.role == ROLE_ALPHA]
         assert len(alpha_cells) == 8
+
+    def test_cell_estimates_invert_each_role_bit_for_bit(self):
+        # (p - a) / b + 0.0 against each role's own inversion, by float.hex,
+        # on random tables and at the cells' intercepts, where a bare
+        # (p - a) / b would give -0.0
+        import random
+
+        from nmqem.expdata import ProbTable
+
+        inverse = {
+            ROLE_ALPHA: lambda p: p,
+            ROLE_ONE_MINUS_2A: lambda p: (1.0 - p) / 2.0,
+            ROLE_HALF: lambda p: (1.0 - 2.0 * p) / 2.0,
+        }
+        rng = random.Random(14)
+        tables = [[[rng.random() for _ in range(4)] for _ in range(4)] for _ in range(200)]
+        tables += [[[v] * 4 for _ in range(4)] for v in (0.0, 0.5, 1.0, 0.25)]
+        for gate in ("swap", "identity"):
+            roles = classify_cells(gate)
+            for table in tables:
+                est = estimate_re_k(ProbTable(gate, "synthetic", table), gate)
+                want = [
+                    inverse[roles[i][j]](table[i][j])
+                    for i in range(4)
+                    for j in range(4)
+                    if roles[i][j] != ROLE_ZERO
+                ]
+                assert [c.estimate.hex() for c in est.per_cell] == [w.hex() for w in want]
 
     def test_gate_mismatch(self):
         pt = prob_table_from_predicted("swap", 0.02)

@@ -10,8 +10,7 @@ from nmqem.channel import population_channel, predict_table
 from nmqem.gamma import BASIS_ORDER, build_gamma_basis, decompose, reconstruct
 from nmqem.linalg import CMat, identity, mat_mul
 from nmqem.recovery import (
-    _MOMENTS,
-    _SPECTRUM,
+    _TABLE,
     ALPHA_MAX,
     AlphaOutOfRange,
     DenominatorNearZero,
@@ -266,11 +265,39 @@ def exact_weights(m):
     return weights
 
 
+ROW_NAMES = ("I", "R", "P1", "P2")
+
+
+def table_rows(gate):
+    """{name: (M, weights)} for the rows I, R, P_1, P_2 of the gate's table:
+    M as 4x4 Fractions, weights as {label: complex} on all 16 labels."""
+    labels, rows = _TABLE[gate]
+    out = {}
+    for name, row in zip(ROW_NAMES, rows):
+        assert len(row) == 16 + len(labels)
+        weights = dict.fromkeys(BASIS_ORDER, 0j)
+        weights.update((label, complex(w)) for label, w in zip(labels, row[16:]))
+        out[name] = ([[Fraction(row[4 * i + j]) for j in range(4)] for i in range(4)], weights)
+    return out
+
+
 def table_projectors(gate):
-    """{l: P_l} of the spectral table, as 4x4 Fractions."""
+    """{l: P_l} from the table as 4x4 Fractions, with P_0 = I - P_1 - P_2."""
+    rows = table_rows(gate)
+    one, p1, p2 = rows["I"][0], rows["P1"][0], rows["P2"][0]
+    p0 = [[one[i][j] - p1[i][j] - p2[i][j] for j in range(4)] for i in range(4)]
+    return {0: p0, 1: p1, 2: p2}
+
+
+def exact_rows(gate):
+    """{name: M} of I, R, P_1, P_2 in Fractions from m_tensor, the projectors
+    as Lagrange products."""
+    rate = exact_rate_matrix(gate)
     return {
-        lam: [[Fraction(p[4 * i + j]) for j in range(4)] for i in range(4)]
-        for lam, p, _ in _SPECTRUM[gate]
+        "I": [[Fraction(int(i == j)) for j in range(4)] for i in range(4)],
+        "R": [list(row) for row in rate],
+        "P1": exact_projector(rate, 1, [0, 1, 2]),
+        "P2": exact_projector(rate, 2, [0, 1, 2]),
     }
 
 
@@ -294,46 +321,49 @@ class TestSpectralTable:
             for j in range(4):
                 assert sum(lam * p[i][j] for lam, p in projectors.items()) == rate[i][j]
                 assert sum(p[i][j] for p in projectors.values()) == int(i == j)
-        # the float moments recovery_op sums are these exactly
-        identity_sum, rate_sum, _ = _MOMENTS[gate][0]
-        assert identity_sum == [int(i == j) for i in range(4) for j in range(4)]
-        assert rate_sum == [x for row in rate for x in row]
+        # the I and R rows that recovery_op sums are these exactly
+        rows = table_rows(gate)
+        assert rows["I"][0] == [[int(i == j) for j in range(4)] for i in range(4)]
+        assert rows["R"][0] == [list(row) for row in rate]
 
     @pytest.mark.parametrize("gate", GATES)
     def test_projectors_are_orthogonal_idempotents(self, gate):
         projectors = table_projectors(gate)
         zero = [[0] * 4 for _ in range(4)]
         for lam, p in projectors.items():
+            assert p != zero
             for mu, q in projectors.items():
                 assert exact_product(p, q) == (p if lam == mu else zero)
 
     @pytest.mark.parametrize("gate", GATES)
     def test_literals_equal_exact_projectors(self, gate):
         rate = exact_rate_matrix(gate)
-        spectrum = [lam for lam, _, _ in _SPECTRUM[gate]]
-        assert spectrum == [0, 1, 2]
-        for lam, p, _ in _SPECTRUM[gate]:
-            exact = exact_projector(rate, lam, spectrum)
-            assert [Fraction(x) for x in p] == [x for row in exact for x in row]
+        for lam, p in table_projectors(gate).items():
+            assert p == exact_projector(rate, lam, [0, 1, 2])
 
     @pytest.mark.parametrize("gate", GATES)
     def test_literal_weights_equal_decompose(self, gate):
         basis = build_gamma_basis()
-        for _, p, weights in _SPECTRUM[gate]:
+        labels = _TABLE[gate][0]
+        rows = table_rows(gate)
+        for name, (m, weights) in rows.items():
             # dyadic entries times {0, +-1, +-i}: the trace formula is exact
-            want = decompose(basis, CMat(4, 4, p)).coeffs
-            assert set(weights) <= set(BASIS_ORDER)
-            assert {label: weights.get(label, 0) for label in BASIS_ORDER} == want
+            flat = [complex(x) for row in m for x in row]
+            assert weights == decompose(basis, CMat(4, 4, flat)).coeffs, name
+        # the table leaves out exactly the labels that are zero in every row
+        assert set(labels) <= set(BASIS_ORDER)
+        for label in BASIS_ORDER:
+            nonzero = any(weights[label] for _, weights in rows.values())
+            assert nonzero == (label in labels), label
 
     @pytest.mark.parametrize("gate", GATES)
     def test_weights_equal_exact_trace_formula(self, gate):
-        # the table's weights against the trace formula in rationals on the
-        # Lagrange projectors built from m_tensor, without decompose
-        rate = exact_rate_matrix(gate)
-        for lam, _, weights in _SPECTRUM[gate]:
-            exact = exact_weights(exact_projector(rate, lam, [0, 1, 2]))
+        # the table's weights against the trace formula in rationals on I, R
+        # and the Lagrange projectors built from m_tensor, without decompose
+        exact = exact_rows(gate)
+        for name, (_, weights) in table_rows(gate).items():
             got = {label: (Fraction(w.real), Fraction(w.imag)) for label, w in weights.items()}
-            assert got == {label: c for label, c in exact.items() if c != (0, 0)}
+            assert got == exact_weights(exact[name]), name
 
 
 def max_relative_error(got, exact):
