@@ -193,6 +193,33 @@ class TestCost:
         assert payload["rows"][-1]["cost"] is None
 
 
+class TestZeroCoupling:
+    """At zero coupling alpha and Re k are exactly 0 at every u, also where
+    u * u overflows; a positive coupling there still overflows."""
+
+    def test_cost_is_one(self, capsys):
+        code, out, err = run_cli(
+            ["cost", "--gate", "swap", "--coupling", "0", "--u-max", "1e200", "--steps", "2"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1:] == ["0,0,0,1", "0,1e+200,0,1", ""]
+
+    def test_kernel_re_k_is_zero(self, capsys):
+        code, out, err = run_cli(
+            ["kernel", "--coupling", "0", "--u-max", "1e200", "--steps", "2"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1:] == ["0,0,0", "0,1e+200,0", ""]
+
+    @pytest.mark.parametrize("command", [["cost", "--gate", "swap"], ["kernel"]])
+    def test_positive_coupling_still_overflows(self, command, capsys):
+        argv = command + ["--coupling", "1e-3", "--u-max", "1e200", "--steps", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
 class TestPredict:
     def test_csv_cells(self, capsys):
         code, out, _ = run_cli(

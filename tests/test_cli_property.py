@@ -1,7 +1,8 @@
-"""Property test over the numeric argv of ``kernel`` and ``cost``.
+"""Property tests over the numeric argv of ``kernel``, ``cost``, ``predict``
+and ``decompose``.
 
-For any values of the float flags, extremes included, and a small
-``--steps``, ``main`` never raises, returns only 0, 2 or 3, never prints a
+For any values of the float flags, extremes included, a small ``--steps`` and
+any ``--gate``, ``main`` never raises, returns only 0, 2 or 3, never prints a
 non-finite number and leaves no ``--out`` file after a failure.
 """
 
@@ -24,12 +25,18 @@ EXTREMES = (
     1e300, 1e306, 1e307, 1e308, 1.7976931348623157e308, -1.0, -1e308,
     math.inf, -math.inf, math.nan,
 )
+# --alpha: non-finite, signed zero, tiny and huge, and at and just below 1/4,
+# where the recovery operator diverges
+ALPHAS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-300, 0.1, 1.0 / 3.0, 1e308,
+    0.25, math.nextafter(0.25, 0.0), 0.2499999999, 0.24995,
+)
 NON_FINITE = re.compile(r"(?i)\b(inf|infinity|nan)\b")
 
 
-def numbers():
+def numbers(special=EXTREMES):
     # hypothesis's own floats lean to the boundaries too: 0, tiny, huge, inf, nan
-    return st.one_of(st.sampled_from(EXTREMES), st.floats()).map(repr)
+    return st.one_of(st.sampled_from(special), st.floats()).map(repr)
 
 
 @st.composite
@@ -50,19 +57,23 @@ def argvs(draw):
     return argv, draw(st.booleans())
 
 
+@st.composite
+def alpha_argvs(draw):
+    argv = [draw(st.sampled_from(("predict", "decompose")))]
+    argv += ["--gate", draw(st.sampled_from(("swap", "identity", "cnot")))]
+    argv += ["--alpha=" + draw(numbers(ALPHAS))]  # one token, so that "-inf" is a value
+    argv += ["--format", draw(st.sampled_from(("csv", "json", "table")))]
+    return argv, draw(st.booleans())
+
+
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("property")
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(case=argvs())
-# alpha, wc_ts * u and the u grid itself overflowing
-@example(case=(["cost", "--gate", "swap", "--coupling", "1e308", "--u-max", "1e10"], False))
-@example(case=(["kernel", "--mode", "printed", "--wc-ts", "1e308", "--u-max", "10"], True))
-@example(case=(["kernel", "--mode", "printed", "--wc-ts", "1", "--u-max", "1e308", "--steps", "3"],
-               False))
-def test_numeric_argv_exit_cleanly(out_dir, case):
+def run_cleanly(out_dir, case):
+    """Run one argv, check its exit code and that a failure prints nothing
+    and leaves no --out file; return stdout, stderr and the written file."""
     argv, with_out = case
     target = out_dir / "out.txt"
     if with_out:
@@ -78,5 +89,31 @@ def test_numeric_argv_exit_cleanly(out_dir, case):
     assert not target.exists(), argv
     if code != 0:
         assert out.getvalue() == "", argv
-    for text in (out.getvalue(), err.getvalue(), written):
-        assert not NON_FINITE.search(text), (argv, text[:200])
+    return out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=argvs())
+# alpha, wc_ts * u and the u grid itself overflowing
+@example(case=(["cost", "--gate", "swap", "--coupling", "1e308", "--u-max", "1e10"], False))
+@example(case=(["kernel", "--mode", "printed", "--wc-ts", "1e308", "--u-max", "10"], True))
+@example(case=(["kernel", "--mode", "printed", "--wc-ts", "1", "--u-max", "1e308", "--steps", "3"],
+               False))
+def test_numeric_argv_exit_cleanly(out_dir, case):
+    out, err, written = run_cleanly(out_dir, case)
+    for text in (out, err, written):
+        assert not NON_FINITE.search(text), (case, text[:200])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=alpha_argvs())
+# a non-finite alpha, a near-singular one that reports with a warning and one
+# that exits 2
+@example(case=(["predict", "--gate", "swap", "--alpha=nan"], True))
+@example(case=(["decompose", "--gate", "identity", "--alpha=0.24995"], True))
+@example(case=(["decompose", "--gate", "swap", "--alpha=0.2499999999"], True))
+def test_alpha_argv_exit_cleanly(out_dir, case):
+    # an error line may name the offending alpha; the report never holds one
+    out, _, written = run_cleanly(out_dir, case)
+    for text in (out, written):
+        assert not NON_FINITE.search(text), (case, text[:200])

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nmqem import kernel
 from nmqem.kernel import (
     KernelParams,
     k_printed,
@@ -169,6 +170,25 @@ class TestKQuadrature:
         a = k_quadrature(KernelParams(1.0, 0.0, 10.0), 0.6).real
         b = k_quadrature(KernelParams(2.0, 0.0, 10.0), 0.6).real
         assert b == pytest.approx(2 * a, rel=1e-8)
+
+
+class TestOneSineIntegralPerPoint:
+    """Re k and Im k share one Si(wc' u) per point, on every branch."""
+
+    @pytest.mark.parametrize("evaluator", [k_printed, k_quadrature], ids=["printed", "quadrature"])
+    @pytest.mark.parametrize("delta0", [0.0, 0.5])
+    # x = wc' u = 0.3, 2 and 9: the series of F, then Si's series and its tail
+    @pytest.mark.parametrize("u", [0.03, 0.2, 0.9])
+    def test_one_call(self, evaluator, delta0, u, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return si_standard(x)
+
+        monkeypatch.setattr(kernel, "si_standard", counting)
+        evaluator(KernelParams(1.0, delta0, 10.0), u)
+        assert calls == [10.0 * u]
 
 
 class TestReadings:

@@ -2,6 +2,9 @@
 code with the package: mpmath's Si, and an mpmath quadrature of the bath
 correlator."""
 
+import math
+import random
+
 import pytest
 
 from nmqem.kernel import KernelParams, k_printed, k_quadrature, si_standard
@@ -10,8 +13,9 @@ mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
 
 # (gamma0, delta0, wc_ts, u): both sides of x = wc_ts u = 1/2 (series switch
-# of the Si integral) and of x = 4 (series switch of Si), plus the two inputs
-# where the earlier nested quadrature missed its 1e-10 tolerance.
+# of the Si integral) and of x = 4 (series switch of Si), the two inputs where
+# the earlier nested quadrature missed its 1e-10 tolerance, then x just above
+# 4, where Si's continued fraction is deepest, and x = 40, where it is shallow.
 KERNEL_CASES = [
     (1.0, 0.5, 10.0, 0.049),
     (1.0, 0.5, 10.0, 0.051),
@@ -22,6 +26,8 @@ KERNEL_CASES = [
     (2.0, 1.0, 0.5, 3.0),
     (0.1, 0.2, 10.45, 0.24008),
     (6.7e-5, 0.3, 10.75, 0.964),
+    (0.4, 1.5, 10.0, 0.40001),
+    (1.0, 0.5, 10.0, 4.0),
 ]
 
 
@@ -69,4 +75,14 @@ def test_si_against_mpmath():
     for i in range(1, 5001):
         x = 50.0 * i / 5000 - 0.00123  # off the grid of round numbers
         worst = max(worst, abs(si_standard(x) - float(mpmath.si(x))))
+    assert worst <= 2e-15
+
+
+def test_si_continued_fraction_against_mpmath():
+    # dense just above the switch at 4, where the fixed depth is largest, and
+    # log-uniform over the rest of the continued fraction's range up to 1e15
+    rng = random.Random(15)
+    xs = [4.0 + 0.1 * i / 2000 for i in range(1, 2001)]
+    xs += [math.exp(rng.uniform(math.log(4.0), math.log(1e15))) for _ in range(2000)]
+    worst = max(abs(si_standard(x) - float(mpmath.si(x))) for x in xs)
     assert worst <= 2e-15
