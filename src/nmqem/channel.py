@@ -1,13 +1,17 @@
 """Noisy two-qubit population-transfer channels.
 
-Builds the tensor of pairwise Pauli matrix elements in an orthonormal
-two-qubit basis exactly (``m_tensor``) and assembles the noisy evolution
-operator element by element from it (``v_element``). The SWAP / Identity
-population channels are affine in alpha = Re k, delta - 2 alpha R, with each
-gate's rate matrix R a literal table of dyadic rationals that the tests
-check against ``m_tensor``. Also produces the predicted probability tables,
-including the conversion from the exchange-symmetric multiplet basis to the
-computational basis.
+A gate is given by its interaction eigenbasis alone, written once as integer
+vectors x with entries in {0, +-1, +-i}, state a being x_a / sqrt|x_a|^2
+(``_GATES``). Everything per gate is derived from these vectors: the float
+amplitudes, the tensor of pairwise Pauli matrix elements (``m_tensor``), the
+rate matrix R and the weights that carry the gate's basis populations to the
+computational basis. The Pauli matrix elements of integer vectors are small
+Gaussian integers, which floats hold exactly, so each of these quantities is
+rounded at most once. ``v_element`` assembles the noisy evolution operator
+element by element from M. The SWAP / Identity population channels are affine
+in alpha = Re k, delta - 2 alpha R. Also produces the predicted probability
+tables, including the conversion from the exchange-symmetric multiplet basis
+to the computational basis.
 
 Channel matrices are column stochastic: column c is the output population
 distribution for pure input state c.
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
@@ -40,8 +43,6 @@ __all__ = [
     "GATES",
 ]
 
-GATES = ("swap", "identity")
-
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 MULTIPLET_LABELS = ("m1", "m2", "m3", "m4")
 
@@ -54,62 +55,40 @@ class NotNormalized(ValueError):
     """Population vector does not sum to one."""
 
 
-# Exact scalars from the ring Q[sqrt2] + i Q[sqrt2], stored as four
-# Fractions (ra, rb, ia, ib) meaning (ra + rb*sqrt2) + i*(ia + ib*sqrt2).
-# Basis amplitudes (0, +-1, +-1/sqrt2) and Pauli entries (0, +-1, +-i) stay
-# inside this ring, so matrix elements of the M tensor can be computed
-# without rounding.
-ExactScalar = Tuple[Fraction, Fraction, Fraction, Fraction]
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
 
 
-def _ex(ra=0, rb=0, ia=0, ib=0) -> ExactScalar:
-    return (Fraction(ra), Fraction(rb), Fraction(ia), Fraction(ib))
-
-
-_EX_ZERO = _ex()
-
-
-def _ex_add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-
-def _ex_mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    def mul2(a, b, c, d):
-        # (a + b*sqrt2)(c + d*sqrt2) = ac + 2bd + (ad + bc) sqrt2
-        return a * c + 2 * b * d, a * d + b * c
-
-    rr = mul2(x[0], x[1], y[0], y[1])
-    ii = mul2(x[2], x[3], y[2], y[3])
-    ri = mul2(x[0], x[1], y[2], y[3])
-    ir = mul2(x[2], x[3], y[0], y[1])
-    return (rr[0] - ii[0], rr[1] - ii[1], ri[0] + ir[0], ri[1] + ir[1])
-
-
-def _ex_conj(x: ExactScalar) -> ExactScalar:
-    return (x[0], x[1], -x[2], -x[3])
-
-
-def _ex_to_complex(x: ExactScalar) -> complex:
-    s2 = math.sqrt(2.0)
-    return complex(float(x[0]) + float(x[1]) * s2, float(x[2]) + float(x[3]) * s2)
+def _norms(vectors) -> Tuple[int, ...]:
+    """|x|^2 of each integer vector x."""
+    return tuple(round(sum(_abs2(x) for x in v)) for v in vectors)
 
 
 @dataclass(frozen=True)
 class Basis4:
     """An orthonormal two-qubit basis over {|00>, |01>, |10>, |11>}.
 
-    ``exact_vectors`` optionally carries the same amplitudes as exact
-    Q[sqrt2] scalars; the M tensor is computed from them without rounding.
+    Give either the float amplitudes ``vectors`` or ``integer_vectors``,
+    integer vectors x with entries in {0, +-1, +-i} whose states are
+    x / sqrt|x|^2. The float amplitudes are then derived from them, and
+    ``m_tensor`` works from them without rounding.
     """
 
     name: str
-    vectors: Tuple[Tuple[complex, ...], ...]
-    exact_vectors: Optional[Tuple[Tuple[ExactScalar, ...], ...]] = field(
+    vectors: Optional[Tuple[Tuple[complex, ...], ...]] = None
+    integer_vectors: Optional[Tuple[Tuple[complex, ...], ...]] = field(
         default=None, compare=False
     )
 
     def __post_init__(self):
-        if len(self.vectors) != 4 or any(len(v) != 4 for v in self.vectors):
+        if self.integer_vectors is not None:
+            if self.vectors is not None:
+                raise ValueError("give float or integer vectors, not both")
+            norms = _norms(self.integer_vectors)
+            object.__setattr__(self, "vectors", tuple(
+                tuple(x / math.sqrt(n) for x in v) for v, n in zip(self.integer_vectors, norms)
+            ))
+        if self.vectors is None or len(self.vectors) != 4 or any(len(v) != 4 for v in self.vectors):
             raise ValueError("need four amplitude 4-vectors")
         for i in range(4):
             for j in range(4):
@@ -117,66 +96,52 @@ class Basis4:
                 expected = 1.0 if i == j else 0.0
                 if abs(g - expected) > 1e-12:
                     raise ValueError("basis vectors are not orthonormal")
-        if self.exact_vectors is not None:
-            for i in range(4):
-                for p in range(4):
-                    drift = abs(
-                        _ex_to_complex(self.exact_vectors[i][p]) - self.vectors[i][p]
-                    )
-                    if drift > 1e-12:
-                        raise ValueError("exact amplitudes disagree with float ones")
-
-
-_S = 1.0 / math.sqrt(2.0)
-_EX_S = _ex(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2 / 2
-_EX_ONE = _ex(1)
 
 
 def multiplet_basis() -> Basis4:
     """Exchange-symmetric basis diagonalizing the SWAP interaction:
     {|00>, (|01>+|10>)/sqrt2, |11>, (|01>-|10>)/sqrt2}."""
-    neg_s = _ex(0, Fraction(-1, 2))
-    return Basis4(
-        "multiplet_swap",
-        (
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, _S, _S, 0.0),
-            (0.0, 0.0, 0.0, 1.0),
-            (0.0, _S, -_S, 0.0),
-        ),
-        exact_vectors=(
-            (_EX_ONE, _EX_ZERO, _EX_ZERO, _EX_ZERO),
-            (_EX_ZERO, _EX_S, _EX_S, _EX_ZERO),
-            (_EX_ZERO, _EX_ZERO, _EX_ZERO, _EX_ONE),
-            (_EX_ZERO, _EX_S, neg_s, _EX_ZERO),
-        ),
-    )
+    return Basis4("multiplet_swap", integer_vectors=(
+        (1, 0, 0, 0),
+        (0, 1, 1, 0),
+        (0, 0, 0, 1),
+        (0, 1, -1, 0),
+    ))
 
 
 def computational_basis() -> Basis4:
-    return Basis4(
-        "computational",
-        (
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, 1.0, 0.0, 0.0),
-            (0.0, 0.0, 1.0, 0.0),
-            (0.0, 0.0, 0.0, 1.0),
-        ),
-        exact_vectors=tuple(
-            tuple(_EX_ONE if p == i else _EX_ZERO for p in range(4)) for i in range(4)
-        ),
-    )
+    return Basis4("computational", integer_vectors=(
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+    ))
+
+
+# Each gate's basis constructor and input labels. The Identity gate's
+# interaction eigenbasis coincides with the computational basis; SWAP needs
+# the multiplet basis.
+_GATES = {
+    "swap": (multiplet_basis, MULTIPLET_LABELS),
+    "identity": (computational_basis, COMPUTATIONAL_LABELS),
+}
+GATES = tuple(_GATES)
+
+
+def _gate_record(gate: str):
+    record = _GATES.get(gate)
+    if record is None:
+        raise ValueError(f"unknown gate {gate!r}")
+    return record
 
 
 @lru_cache(maxsize=None)
 def basis_for_gate(gate: str) -> Basis4:
-    # The Identity gate's interaction eigenbasis coincides with the
-    # computational basis; SWAP needs the multiplet basis.
-    if gate == "swap":
-        return multiplet_basis()
-    if gate == "identity":
-        return computational_basis()
-    raise ValueError(f"unknown gate {gate!r}")
+    return _gate_record(gate)[0]()
+
+
+def input_labels(gate: str):
+    return _gate_record(gate)[1]
 
 
 @dataclass(frozen=True)
@@ -194,74 +159,55 @@ class MTensor:
         return sum(self.m[a - 1][ap][ap][c - 1] for ap in range(4))
 
 
-_EX_PAULI = {
-    "X": ((_EX_ZERO, _ex(1)), (_ex(1), _EX_ZERO)),
-    "Y": ((_EX_ZERO, _ex(0, 0, -1)), (_ex(0, 0, 1), _EX_ZERO)),
-    "Z": ((_ex(1), _EX_ZERO), (_EX_ZERO, _ex(-1))),
-}
-_EX_I2 = ((_ex(1), _EX_ZERO), (_EX_ZERO, _ex(1)))
+_PAULI = {"X": ((0, 1), (1, 0)), "Y": ((0, -1j), (1j, 0)), "Z": ((1, 0), (0, -1))}
+_I2 = ((1, 0), (0, 1))
 
 
-def _ex_kron(a, b):
+def _kron_entries(a, b):
+    """Nonzero entries (i, j, value) of the 4x4 Kronecker product of a and b."""
+    entries = ((i, j, a[i // 2][j // 2] * b[i % 2][j % 2]) for i in range(4) for j in range(4))
+    return tuple(e for e in entries if e[2])
+
+
+# The six single-qubit Paulis on two qubits: X, Y and Z on qubit 1 and on qubit 2.
+_SPIN_OPERATORS = tuple(
+    op for p in "XYZ" for op in (_kron_entries(_PAULI[p], _I2), _kron_entries(_I2, _PAULI[p]))
+)
+
+
+def _pauli_elements(vectors):
+    """<x_a|sigma|x_b> for each spin operator sigma and integer vectors x_a,
+    x_b, indexed [sigma][a][b]: small Gaussian integers, exact in floats."""
     return tuple(
-        tuple(_ex_mul(a[i // 2][j // 2], b[i % 2][j % 2]) for j in range(4))
-        for i in range(4)
+        tuple(tuple(sum(va[i].conjugate() * s * vb[j] for i, j, s in op) for vb in vectors)
+              for va in vectors)
+        for op in _SPIN_OPERATORS
     )
 
 
-def _exact_spin_operators():
-    ops = []
-    for p in ("X", "Y", "Z"):
-        ops.append(_ex_kron(_EX_PAULI[p], _EX_I2))  # qubit 1
-        ops.append(_ex_kron(_EX_I2, _EX_PAULI[p]))  # qubit 2
-    return ops
+def _m_entry(s, p: int) -> float:
+    """s / (4 sqrt p) for an exact sum s of Pauli products over integer
+    vectors whose norms multiply to p: rounded once where p is a square, and
+    computed as (s / 8k) * sqrt2 where p = 2k^2."""
+    if s.imag:
+        raise ValueError("M tensor entry is not real")
+    k = math.isqrt(p // 2)
+    if 2 * k * k == p:
+        return s.real / (8 * k) * math.sqrt(2.0) + 0.0
+    return s.real / (4 * math.sqrt(p)) + 0.0  # + 0.0: a zero entry is +0.0
 
 
 def m_tensor(basis: Basis4) -> MTensor:
-    """Pairwise Pauli matrix elements of a basis, computed without rounding
-    from its exact Q[sqrt2] amplitudes."""
-    vectors = basis.exact_vectors
+    """Pairwise Pauli matrix elements of a basis, M_abcd =
+    (1/4) sum_sigma <a|sigma|b><c|sigma|d>, from its integer vectors."""
+    vectors = basis.integer_vectors
     if vectors is None:
-        raise ValueError(f"basis {basis.name!r} carries no exact amplitudes")
-    elem = []
-    for op in _exact_spin_operators():
-        rows = []
-        for a in range(4):
-            va = vectors[a]
-            row = []
-            for b in range(4):
-                vb = vectors[b]
-                acc = _EX_ZERO
-                for i in range(4):
-                    for j in range(4):
-                        if op[i][j] == _EX_ZERO:
-                            continue
-                        acc = _ex_add(acc, _ex_mul(_ex_mul(_ex_conj(va[i]), op[i][j]), vb[j]))
-                row.append(acc)
-            rows.append(row)
-        elem.append(rows)
-    quarter = _ex(Fraction(1, 4))
-    out = []
-    for a in range(4):
-        ta = []
-        for b in range(4):
-            tb = []
-            for c in range(4):
-                tc = []
-                for d in range(4):
-                    acc = _EX_ZERO
-                    for e in elem:
-                        acc = _ex_add(acc, _ex_mul(e[a][b], e[c][d]))
-                    acc = _ex_mul(quarter, acc)
-                    if acc[2] != 0 or acc[3] != 0:
-                        raise ValueError("M tensor entry is not real")
-                    # entries are rational in both supplied bases; the sqrt2
-                    # component survives only if it genuinely appears
-                    tc.append(float(acc[0]) + float(acc[1]) * math.sqrt(2.0))
-                tb.append(tuple(tc))
-            ta.append(tuple(tb))
-        out.append(tuple(ta))
-    return MTensor(tuple(out))
+        raise ValueError(f"basis {basis.name!r} carries no integer amplitudes")
+    elem = _pauli_elements(vectors)
+    n = _norms(vectors)
+    return MTensor(tuple(tuple(tuple(tuple(
+        _m_entry(sum(e[a][b] * e[c][d] for e in elem), n[a] * n[b] * n[c] * n[d])
+        for d in range(4)) for c in range(4)) for b in range(4)) for a in range(4)))
 
 
 def v_element(
@@ -300,25 +246,25 @@ class Channel:
         return CMat.from_rows([list(r) for r in self.matrix])
 
 
-# Rate matrices R of the population channel, one per gate: with k = alpha
-# real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c], where
-# R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a} over the gate's
-# basis. The entries are exact dyadic rationals of m_tensor, so the float
-# table carries no rounding; the channel tests check it against m_tensor.
-_RATE_MATRIX = {
-    "swap": (
-        (1.0, -0.5, 0.0, -0.5),
-        (-0.5, 1.5, -0.5, -0.5),
-        (0.0, -0.5, 1.0, -0.5),
-        (-0.5, -0.5, -0.5, 1.5),
-    ),
-    "identity": (
-        (1.0, -0.5, -0.5, 0.0),
-        (-0.5, 1.0, 0.0, -0.5),
-        (-0.5, 0.0, 1.0, -0.5),
-        (0.0, -0.5, -0.5, 1.0),
-    ),
-}
+def _rate_matrix(basis: Basis4):
+    """The rate matrix R of a basis's population channel: with k = alpha
+    real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c], where
+    R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a}
+            = (3/2) delta_ac - sum_sigma |<x_a|sigma|x_c>|^2 / (4 |x_a|^2 |x_c|^2).
+    Every term is an integer over a power of 2, so the floats are exact."""
+    vectors = basis.integer_vectors
+    elem = _pauli_elements(vectors)
+    n = _norms(vectors)
+    return tuple(
+        tuple(
+            (1.5 if a == c else 0.0) - sum(_abs2(e[a][c]) for e in elem) / (4 * n[a] * n[c])
+            for c in range(4)
+        )
+        for a in range(4)
+    )
+
+
+_RATE_MATRIX = {gate: _rate_matrix(basis_for_gate(gate)) for gate in GATES}
 
 
 def population_channel(gate: str, alpha: float) -> Channel:
@@ -355,16 +301,13 @@ def to_computational(populations: Sequence[float], basis: Basis4):
 
 @lru_cache(maxsize=None)
 def _population_weights(gate: str):
-    """|<beta|a>|^2 for the gate's basis state a and computational state
-    beta, indexed [beta][a]: the weights ``to_computational`` applies,
-    computed once per gate from the exact amplitudes, so that (1/sqrt2)^2
-    is 1/2 and not 0.4999999999999999."""
-    vectors = basis_for_gate(gate).exact_vectors
-    return tuple(
-        tuple(_ex_to_complex(_ex_mul(vectors[a][beta], _ex_conj(vectors[a][beta]))).real
-              for a in range(4))
-        for beta in range(4)
-    )
+    """|<beta|a>|^2 = |x_a[beta]|^2 / |x_a|^2 for the gate's basis state a
+    and computational state beta, indexed [beta][a]: the weights
+    ``to_computational`` applies, computed once per gate from the integer
+    vectors, so that (1/sqrt2)^2 is 1/2 and not 0.4999999999999999."""
+    vectors = basis_for_gate(gate).integer_vectors
+    n = _norms(vectors)
+    return tuple(tuple(_abs2(vectors[a][beta]) / n[a] for a in range(4)) for beta in range(4))
 
 
 def predict_table(gate: str, alpha: float):
@@ -382,7 +325,3 @@ def predict_table(gate: str, alpha: float):
         tuple(sum(map(mul, row, col)) for col in columns)
         for row in _population_weights(gate)
     )
-
-
-def input_labels(gate: str):
-    return MULTIPLET_LABELS if gate == "swap" else COMPUTATIONAL_LABELS
