@@ -356,7 +356,8 @@ def cmd_decompose(args, out) -> int:
 
 def _coupling_list(text: str):
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        # + 0.0: a coupling of -0 is 0, so it prints as 0 and not -0
+        values = [float(v) + 0.0 for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad coupling list {text!r}")
     if not values or not all(0.0 <= v < math.inf for v in values):

@@ -212,6 +212,11 @@ class TestZeroCoupling:
         assert (code, err) == (0, "")
         assert out.split("\n")[1:] == ["0,0,0", "0,1e+200,0", ""]
 
+    def test_negative_zero_coupling_prints_as_zero(self, capsys):
+        code, out, err = run_cli(["kernel", "--coupling", "-0", "--steps", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert out == "coupling,u,re_k\n0,0,0\n0,1,0\n"
+
     @pytest.mark.parametrize("command", [["cost", "--gate", "swap"], ["kernel"]])
     def test_positive_coupling_still_overflows(self, command, capsys):
         argv = command + ["--coupling", "1e-3", "--u-max", "1e200", "--steps", "2"]
