@@ -25,7 +25,7 @@ import sys
 import warnings
 
 from . import expdata, gamma, recovery
-from .channel import COMPUTATIONAL_LABELS, AlphaOutOfRange, input_labels, predict_table
+from .channel import COMPUTATIONAL_LABELS, GATES, AlphaOutOfRange, input_labels, predict_table
 from .kernel import KernelParams, k_printed, k_quadrature, re_k_approx
 from .linalg import identity, mat_mul
 from .recovery import ALPHA_MAX
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="mitigation cost curves")
     add_common(p)
-    p.add_argument("--gate", choices=("swap", "identity"), required=True)
+    p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
     p.add_argument("--u-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
@@ -405,19 +405,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predicted probability table")
     add_common(p)
-    p.add_argument("--gate", choices=("swap", "identity"), required=True)
+    p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=cmd_predict, default_format="table")
 
     p = sub.add_parser("estimate", help="estimate Re k from a counts file")
     add_common(p)
     p.add_argument("--counts", required=True, help="path to a counts JSON file")
-    p.add_argument("--gate", choices=("swap", "identity"), default=None)
+    p.add_argument("--gate", choices=GATES, default=None)
     p.set_defaults(func=cmd_estimate, default_format="json")
 
     p = sub.add_parser("decompose", help="Gamma expansion of a recovery operator")
     add_common(p)
-    p.add_argument("--gate", choices=("swap", "identity"), required=True)
+    p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=cmd_decompose, default_format="table")
 
@@ -443,10 +443,36 @@ def _usage_error(args):
     return None
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv):
+    """argv with each option joined to a following negative number, so that
+    ``--alpha -1e-3`` reads as ``--alpha=-1e-3``. argparse takes a token that
+    starts with "-" for an option unless it looks like a plain negative
+    number, which -1e-3 and -inf do not."""
+    joined = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if (token.startswith("-") and _is_number(token) and option.startswith("--")
+                and "=" not in option and option not in ("--", "--help")):
+            joined[-1] = f"{option}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if args.format is None:

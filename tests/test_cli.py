@@ -469,6 +469,38 @@ class TestBoundary:
         assert out == ""
 
 
+class TestNegativeNumbers:
+    """A negative number in exponent form or an infinity is an option's
+    value, as in its "=" form, not an unknown option."""
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (["predict", "--gate", "swap"], "--alpha", "-1e-3"),
+            (["kernel"], "--u-max", "-inf"),
+            (["kernel"], "--coupling", "-1e-3"),
+            (["predict", "--gate", "swap"], "--alpha", "-0.001"),
+        ],
+    )
+    def test_same_error_as_joined_form(self, command, option, value, capsys):
+        spaced = run_cli(command + [option, value], capsys)
+        joined = run_cli(command + [f"{option}={value}"], capsys)
+        assert spaced == joined
+        code, out, err = spaced
+        assert (code, out) == (2, "")
+        assert "error: " in err.splitlines()[-1]
+
+    def test_negative_counts_path_is_a_missing_file(self, capsys):
+        code, out, err = run_cli(["estimate", "--counts", "-1e3"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: [Errno 2] No such file or directory: '-1e3'\n"
+
+    def test_help_is_not_joined(self, capsys):
+        code, out, _ = run_cli(["predict", "--help", "-1"], capsys)
+        assert code == 0
+        assert out.startswith("usage: nmqem predict")
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["kernel", "--gamma0", "1", "--wc-ts", "10", "--mode", "printed"],
