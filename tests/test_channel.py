@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import nmqem
 from nmqem.channel import (
     _RATE_MATRIX,
+    _population_weights,
     GATES,
     AlphaOutOfRange,
     Basis4,
@@ -55,6 +60,22 @@ class TestBases:
     def test_input_labels(self):
         assert input_labels("swap") == ("m1", "m2", "m3", "m4")
         assert input_labels("identity") == ("00", "01", "10", "11")
+        with pytest.raises(ValueError):
+            input_labels("cnot")
+
+    def test_float_vectors_derived_from_integer_vectors(self):
+        s = 1.0 / math.sqrt(2.0)
+        assert MB.vectors == ((1.0, 0.0, 0.0, 0.0), (0.0, s, s, 0.0),
+                              (0.0, 0.0, 0.0, 1.0), (0.0, s, -s, 0.0))
+        assert CB.vectors == tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+
+    def test_one_kind_of_vectors(self):
+        with pytest.raises(ValueError):
+            Basis4("both", CB.vectors, integer_vectors=CB.integer_vectors)
+        with pytest.raises(ValueError):
+            Basis4("neither")
+        with pytest.raises(ValueError):  # a float-only basis has no exact M tensor
+            m_tensor(Basis4("floats", MB.vectors))
 
 
 class TestMTensor:
@@ -79,6 +100,46 @@ class TestMTensor:
         assert MT_M.at(2, 1, 1, 2) == pytest.approx(0.5, abs=1e-13)
         assert MT_M.at(1, 1, 1, 1) == pytest.approx(0.5, abs=1e-13)
         assert MT_M.at(3, 1, 1, 3) == pytest.approx(0.0, abs=1e-13)
+
+
+PAULI_2X2 = {
+    "I": ((1, 0), (0, 1)),
+    "X": ((0, 1), (1, 0)),
+    "Y": ((0, -1j), (1j, 0)),
+    "Z": ((1, 0), (0, -1)),
+}
+
+
+def kron(a, b):
+    return [[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)] for i in range(4)]
+
+
+def float_m_tensor(vectors):
+    """M_abcd = (1/4) sum_sigma <a|sigma|b><c|sigma|d> in plain complex
+    arithmetic over the float amplitudes, sigma the six Kronecker-built
+    single-qubit Paulis."""
+    ops = [kron(PAULI_2X2[p], PAULI_2X2["I"]) for p in "XYZ"]
+    ops += [kron(PAULI_2X2["I"], PAULI_2X2[p]) for p in "XYZ"]
+
+    def element(op, u, v):
+        return sum(u[i].conjugate() * op[i][j] * v[j] for i in range(4) for j in range(4))
+
+    elem = [[[element(op, u, v) for v in vectors] for u in vectors] for op in ops]
+    return [[[[sum(e[a][b] * e[c][d] for e in elem) / 4 for d in range(4)] for c in range(4)]
+             for b in range(4)] for a in range(4)]
+
+
+class TestMTensorOracle:
+    @pytest.mark.parametrize("gate", GATES)
+    def test_matches_float_pauli_products(self, gate):
+        basis = basis_for_gate(gate)
+        want = float_m_tensor(basis.vectors)
+        got = m_tensor(basis).m
+        for a in range(4):
+            for b in range(4):
+                for c in range(4):
+                    for d in range(4):
+                        assert abs(got[a][b][c][d] - want[a][b][c][d]) <= 1e-15, (a, b, c, d)
 
 
 class TestVElement:
@@ -179,10 +240,45 @@ def channel_alphas():
     return grid
 
 
+# The rate matrices as they were once transcribed by hand, an oracle for the
+# ones derived from the basis vectors.
+RATE_TABLE = {
+    "swap": (
+        (1.0, -0.5, 0.0, -0.5),
+        (-0.5, 1.5, -0.5, -0.5),
+        (0.0, -0.5, 1.0, -0.5),
+        (-0.5, -0.5, -0.5, 1.5),
+    ),
+    "identity": (
+        (1.0, -0.5, -0.5, 0.0),
+        (-0.5, 1.0, 0.0, -0.5),
+        (-0.5, 0.0, 1.0, -0.5),
+        (0.0, -0.5, -0.5, 1.0),
+    ),
+}
+# |<beta|a>|^2, indexed [beta][a]
+POPULATION_WEIGHTS = {
+    "swap": ((1, 0, 0, 0), (0, 0.5, 0, 0.5), (0, 0.5, 0, 0.5), (0, 0, 1, 0)),
+    "identity": tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
+}
+
+
 class TestRateMatrix:
     @pytest.mark.parametrize("gate", GATES)
     def test_table_equals_m_tensor_derivation(self, gate):
         assert _RATE_MATRIX[gate] == derived_rate_matrix(basis_for_gate(gate))
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_equals_transcribed_table(self, gate):
+        assert [[x.hex() for x in row] for row in _RATE_MATRIX[gate]] == [
+            [x.hex() for x in row] for row in RATE_TABLE[gate]]
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_population_weights_are_exact(self, gate):
+        weights = _population_weights(gate)
+        assert weights == POPULATION_WEIGHTS[gate]
+        assert {w for row in weights for w in row} <= {0.0, 0.5, 1.0}
+        assert all(type(w) is float for row in weights for w in row)
 
     @pytest.mark.parametrize("gate", GATES)
     def test_channel_bit_identical_to_v_element(self, gate):
@@ -267,3 +363,12 @@ class TestPredictTable:
             predict_table("swap", 0.34)
         with pytest.raises(AlphaOutOfRange):
             predict_table("identity", -1e-9)
+
+
+def test_cli_import_leaves_out_fractions():
+    # a fresh interpreter that finds nmqem where this one does
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nmqem.__file__)))
+    code = "import sys, nmqem.cli; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "False\n"

@@ -175,6 +175,18 @@ class TestCosts:
         with pytest.raises(AlphaOutOfRange):
             cost_swap(ALPHA_MAX)
 
+    @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
+    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    def test_decomposition_cost_is_the_induced_one_norm(self, gate):
+        # ||V^-1||_{1->1}, the largest column absolute sum of the recovery
+        # matrix, is the least quasi-probability cost of any expansion of
+        # V^-1; the Gamma weights' absolute sum attains it
+        for i in range(2500):
+            op = recovery_op(gate, 0.25 * i / 2500)
+            e = op.matrix.entries
+            norm = max(sum(abs(e[4 * r + c]) for r in range(4)) for c in range(4))
+            assert cost_from_decomposition(op) == pytest.approx(norm, rel=1e-15, abs=0)
+
 
 class TestRecoveryOp:
     def test_identity_decomposition_reference(self):
