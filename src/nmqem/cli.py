@@ -459,8 +459,8 @@ def _join_negative_values(argv):
     joined = []
     for token in argv:
         option = joined[-1] if joined else ""
-        if (token.startswith("-") and _is_number(token) and option.startswith("--")
-                and "=" not in option and option not in ("--", "--help")):
+        if (option.startswith("--") and "=" not in option and option not in ("--", "--help")
+                and token.startswith("-") and _is_number(token)):
             joined[-1] = f"{option}={token}"
         else:
             joined.append(token)
