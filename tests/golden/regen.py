@@ -24,8 +24,8 @@ HERE = Path(__file__).resolve().parent
 if __name__ == "__main__":  # as a script: import nmqem and the tests from this checkout
     sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
 
-from nmqem import channel, recovery  # noqa: E402
-from nmqem.cli import main  # noqa: E402
+from nmqem import channel, gamma, kernel, recovery  # noqa: E402
+from nmqem.cli import _u_grid, build_parser, main  # noqa: E402
 from test_cli import BOUNDARY_CASES, _probs_document  # noqa: E402
 
 CLI_PATH = HERE / "cli.txt"
@@ -192,13 +192,30 @@ def digest_blocks() -> dict:
         blocks[f"predict_table/{gate}"] = [
             f"{alpha.hex()} {_row(v for row in channel.predict_table(gate, alpha) for v in row)}"
             for alpha in digest_alphas()]
-        lines = []
+        printed = recovery.cost_swap if gate == "swap" else recovery.cost_id
+        lines, costs, decomposition_costs, reconstructed = [], [], [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # nearly singular near 1/4
-            for alpha in digest_alphas():
+            for i, alpha in enumerate(digest_alphas()):
                 op = recovery.recovery_op(gate, alpha)
                 lines.append(f"{alpha.hex()} {_row(op.matrix.entries)} | {_row(op.gamma.coeffs.values())}")
+                costs.append(f"{alpha.hex()} {printed(alpha).hex()}")
+                decomposition_costs.append(f"{alpha.hex()} {recovery.cost_from_decomposition(op).hex()}")
+                if i % 4 == 0:  # every fourth alpha, which keeps the corpus under 500 KB
+                    entries = gamma.reconstruct(gamma.build_gamma_basis(), op.gamma).entries
+                    reconstructed.append(f"{alpha.hex()} {_row(entries)}")
         blocks[f"recovery_op/{gate}"] = lines
+        blocks[f"{printed.__name__}/{gate}"] = costs
+        blocks[f"cost_from_decomposition/{gate}"] = decomposition_costs
+        blocks[f"reconstruct/{gate}"] = reconstructed
+    for name, argv in KERNEL_PARAMS.items():
+        # the KernelParams and u grid that ``kernel --mode {printed,quadrature}`` evaluates
+        args = build_parser().parse_args(["kernel", *argv])
+        couplings = args.coupling if args.gamma0 is None else [args.gamma0 * args.wc_ts]
+        params = [(c, kernel.KernelParams(c / args.wc_ts, args.delta0, args.wc_ts)) for c in couplings]
+        for k in (kernel.k_printed, kernel.k_quadrature):
+            blocks[f"{k.__name__}/{name}"] = [f"{c.hex()} {u.hex()} {_hex(k(p, u))}"
+                                              for c, p in params for u in _u_grid(args.u_max, args.steps)]
     return blocks
 
 

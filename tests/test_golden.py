@@ -15,6 +15,10 @@ def test_corpus_covers_every_case():
     assert sorted(CLI) == sorted(regen.cli_cases())
 
 
+def test_corpus_stays_under_500_kb():
+    assert regen.CLI_PATH.stat().st_size + regen.DIGEST_PATH.stat().st_size < 500_000
+
+
 @pytest.fixture(scope="module")
 def case_dir(tmp_path_factory):
     tmp = str(tmp_path_factory.mktemp("golden"))
