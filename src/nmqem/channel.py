@@ -20,7 +20,6 @@ distribution for pure input state c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence, Tuple
@@ -64,7 +63,6 @@ def _norms(vectors) -> Tuple[int, ...]:
     return tuple(round(sum(_abs2(x) for x in v)) for v in vectors)
 
 
-@dataclass(frozen=True)
 class Basis4:
     """An orthonormal two-qubit basis over {|00>, |01>, |10>, |11>}.
 
@@ -74,28 +72,25 @@ class Basis4:
     ``m_tensor`` works from them without rounding.
     """
 
-    name: str
-    vectors: Optional[Tuple[Tuple[complex, ...], ...]] = None
-    integer_vectors: Optional[Tuple[Tuple[complex, ...], ...]] = field(
-        default=None, compare=False
-    )
+    __slots__ = ("name", "vectors", "integer_vectors")
 
-    def __post_init__(self):
-        if self.integer_vectors is not None:
-            if self.vectors is not None:
+    def __init__(self, name: str, vectors: Optional[Tuple[Tuple[complex, ...], ...]] = None,
+                 integer_vectors: Optional[Tuple[Tuple[complex, ...], ...]] = None):
+        if integer_vectors is not None:
+            if vectors is not None:
                 raise ValueError("give float or integer vectors, not both")
-            norms = _norms(self.integer_vectors)
-            object.__setattr__(self, "vectors", tuple(
-                tuple(x / math.sqrt(n) for x in v) for v, n in zip(self.integer_vectors, norms)
-            ))
-        if self.vectors is None or len(self.vectors) != 4 or any(len(v) != 4 for v in self.vectors):
+            norms = _norms(integer_vectors)
+            vectors = tuple(tuple(x / math.sqrt(n) for x in v)
+                            for v, n in zip(integer_vectors, norms))
+        if vectors is None or len(vectors) != 4 or any(len(v) != 4 for v in vectors):
             raise ValueError("need four amplitude 4-vectors")
         for i in range(4):
             for j in range(4):
-                g = sum(self.vectors[i][p].conjugate() * self.vectors[j][p] for p in range(4))
+                g = sum(vectors[i][p].conjugate() * vectors[j][p] for p in range(4))
                 expected = 1.0 if i == j else 0.0
                 if abs(g - expected) > 1e-12:
                     raise ValueError("basis vectors are not orthonormal")
+        self.name, self.vectors, self.integer_vectors = name, vectors, integer_vectors
 
 
 def multiplet_basis() -> Basis4:
@@ -144,11 +139,13 @@ def input_labels(gate: str):
     return _gate_record(gate)[1]
 
 
-@dataclass(frozen=True)
 class MTensor:
     """Pairwise Pauli matrix elements M[a][b][c][d], zero-indexed."""
 
-    m: Tuple  # 4x4x4x4 nested tuples of floats
+    __slots__ = ("m",)
+
+    def __init__(self, m: Tuple):
+        self.m = m  # 4x4x4x4 nested tuples of floats
 
     def at(self, a: int, b: int, c: int, d: int) -> float:
         """One-indexed accessor matching the algebraic notation."""
@@ -230,14 +227,14 @@ def v_element(
     )
 
 
-@dataclass(frozen=True)
 class Channel:
     """Column-stochastic 4x4 population transfer matrix for one gate."""
 
-    gate: str
-    basis: str
-    alpha: float
-    matrix: Tuple[Tuple[float, ...], ...]  # matrix[out][in]
+    __slots__ = ("gate", "basis", "alpha", "matrix")
+
+    def __init__(self, gate: str, basis: str, alpha: float, matrix: Tuple[Tuple[float, ...], ...]):
+        self.gate, self.basis, self.alpha = gate, basis, alpha
+        self.matrix = matrix  # matrix[out][in]
 
     def column(self, j: int) -> Tuple[float, ...]:
         return tuple(self.matrix[i][j] for i in range(4))
@@ -285,29 +282,31 @@ def population_channel(gate: str, alpha: float) -> Channel:
     return Channel(gate, basis_for_gate(gate).name, alpha, rows)
 
 
+def _weights(basis: Basis4):
+    """|<beta|a>|^2 for basis state a and computational state beta, indexed
+    [beta][a]. From integer vectors x it is |x_a[beta]|^2 / |x_a|^2, rounded
+    once, so that (1/sqrt2)^2 is 1/2 and not 0.4999999999999999; a basis
+    given by float amplitudes alone squares them."""
+    vectors = basis.integer_vectors
+    if vectors is None:
+        return tuple(tuple(abs(v[beta]) ** 2 for v in basis.vectors) for beta in range(4))
+    n = _norms(vectors)
+    return tuple(tuple(_abs2(vectors[a][beta]) / n[a] for a in range(4)) for beta in range(4))
+
+
 def to_computational(populations: Sequence[float], basis: Basis4):
     """Diagonal populations in the computational basis, given populations
     over `basis` states. Off-diagonal coherences are assumed absent."""
     total = sum(populations)
     if abs(total - 1.0) > 1e-9:
         raise NotNormalized(f"populations sum to {total}, expected 1")
-    out = []
-    for beta in range(4):
-        out.append(
-            sum(abs(basis.vectors[a][beta]) ** 2 * populations[a] for a in range(4))
-        )
-    return tuple(out)
+    return tuple(sum(row[a] * populations[a] for a in range(4)) for row in _weights(basis))
 
 
 @lru_cache(maxsize=None)
 def _population_weights(gate: str):
-    """|<beta|a>|^2 = |x_a[beta]|^2 / |x_a|^2 for the gate's basis state a
-    and computational state beta, indexed [beta][a]: the weights
-    ``to_computational`` applies, computed once per gate from the integer
-    vectors, so that (1/sqrt2)^2 is 1/2 and not 0.4999999999999999."""
-    vectors = basis_for_gate(gate).integer_vectors
-    n = _norms(vectors)
-    return tuple(tuple(_abs2(vectors[a][beta]) / n[a] for a in range(4)) for beta in range(4))
+    """The weights ``to_computational`` applies, once per gate."""
+    return _weights(basis_for_gate(gate))
 
 
 def predict_table(gate: str, alpha: float):

@@ -369,22 +369,26 @@ def _coupling_list(text: str):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it
     unchanged and every default is immutable, so calls share nothing."""
+    # usage and help wrapped at 78 columns, as at COLUMNS=80, whatever the
+    # terminal's width, so that every byte of the output is deterministic
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="nmqem",
         description="Non-Markovian two-qubit noise channels and mitigation costs.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_parser(name, help_text, func, default_format):
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         p.add_argument("--format", choices=("csv", "json", "table"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(func=func, default_format=default_format)
+        return p
 
-    p = sub.add_parser("gamma-check", help="verify the 16-matrix algebra")
-    add_common(p)
-    p.set_defaults(func=cmd_gamma_check, default_format="table")
+    add_parser("gamma-check", "verify the 16-matrix algebra", cmd_gamma_check, "table")
 
-    p = sub.add_parser("kernel", help="decoherence function curves")
-    add_common(p)
+    p = add_parser("kernel", "decoherence function curves", cmd_kernel, "csv")
     p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
     p.add_argument("--u-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
@@ -393,33 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override gamma0 (otherwise coupling / wc-ts)")
     p.add_argument("--delta0", type=float, default=0.0)
     p.add_argument("--wc-ts", type=float, default=10.0)
-    p.set_defaults(func=cmd_kernel, default_format="csv")
 
-    p = sub.add_parser("cost", help="mitigation cost curves")
-    add_common(p)
+    p = add_parser("cost", "mitigation cost curves", cmd_cost, "csv")
     p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
     p.add_argument("--u-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
-    p.set_defaults(func=cmd_cost, default_format="csv")
 
-    p = sub.add_parser("predict", help="predicted probability table")
-    add_common(p)
+    p = add_parser("predict", "predicted probability table", cmd_predict, "table")
     p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=cmd_predict, default_format="table")
 
-    p = sub.add_parser("estimate", help="estimate Re k from a counts file")
-    add_common(p)
+    p = add_parser("estimate", "estimate Re k from a counts file", cmd_estimate, "json")
     p.add_argument("--counts", required=True, help="path to a counts JSON file")
     p.add_argument("--gate", choices=GATES, default=None)
-    p.set_defaults(func=cmd_estimate, default_format="json")
 
-    p = sub.add_parser("decompose", help="Gamma expansion of a recovery operator")
-    add_common(p)
+    p = add_parser("decompose", "Gamma expansion of a recovery operator", cmd_decompose, "table")
     p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=cmd_decompose, default_format="table")
 
     return parser
 

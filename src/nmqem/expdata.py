@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -74,42 +73,42 @@ class EmptyRun(ValueError):
     """A run has no recorded outcomes."""
 
 
-@dataclass(frozen=True)
 class CountTable:
-    gate: str
-    device: str
-    shots: int
-    # runs[input_label] -> outcome -> weight; ints for counts documents,
-    # floats for the probability variant.
-    runs: Dict[str, Dict[str, float]]
-    kind: str = "counts"
+    __slots__ = ("gate", "device", "shots", "runs", "kind")
+
+    def __init__(self, gate: str, device: str, shots: int, runs: Dict[str, Dict[str, float]],
+                 kind: str = "counts"):
+        self.gate, self.device, self.shots, self.kind = gate, device, shots, kind
+        # runs[input_label] -> outcome -> weight; ints for counts documents,
+        # floats for the probability variant.
+        self.runs = runs
 
 
-@dataclass(frozen=True)
 class ProbTable:
-    gate: str
-    device: str
-    matrix: Tuple[Tuple[float, ...], ...]  # matrix[out][in]
+    __slots__ = ("gate", "device", "matrix")
+
+    def __init__(self, gate: str, device: str, matrix: Tuple[Tuple[float, ...], ...]):
+        self.gate, self.device = gate, device
+        self.matrix = matrix  # matrix[out][in]
 
     def cell(self, out_idx: int, in_idx: int) -> float:
         return self.matrix[out_idx][in_idx]
 
 
-@dataclass(frozen=True)
 class CellEstimate:
-    input: str
-    output: str
-    role: str
-    estimate: float
+    __slots__ = ("input", "output", "role", "estimate")
+
+    def __init__(self, input: str, output: str, role: str, estimate: float):
+        self.input, self.output, self.role, self.estimate = input, output, role, estimate
 
 
-@dataclass(frozen=True)
 class RekEstimate:
-    per_cell: List[CellEstimate]
-    min: float
-    max: float
-    lsq: float
-    residual: float
+    __slots__ = ("per_cell", "min", "max", "lsq", "residual")
+
+    def __init__(self, per_cell: List[CellEstimate], min: float, max: float, lsq: float,
+                 residual: float):
+        self.per_cell, self.min, self.max = per_cell, min, max
+        self.lsq, self.residual = lsq, residual
 
 
 def load_counts(source) -> CountTable:

@@ -13,7 +13,6 @@ are c_r = tr(G_r^dagger M) / 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -42,6 +41,7 @@ BASIS_ORDER = (
     "g5g0", "g5g1", "g5g2", "g5g3",
     "g5",
 )
+_LABELS = frozenset(BASIS_ORDER)
 
 _SET_OF_LABEL = {
     "I": "G1",
@@ -53,7 +53,6 @@ _SET_OF_LABEL = {
 }
 
 
-@dataclass(frozen=True)
 class GammaBasis:
     """The 16 basis matrices keyed by label, plus the metric diagonal.
 
@@ -61,17 +60,14 @@ class GammaBasis:
     pairs; every Gamma matrix is monomial, so each has four.
     """
 
-    matrices: Tuple[CMat, ...]  # in BASIS_ORDER
-    metric: Tuple[int, int, int, int]
-    support: Tuple[Tuple[Tuple[int, complex], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("matrices", "metric", "support")
 
-    def __post_init__(self):
-        support = tuple(
-            tuple((k, e) for k, e in enumerate(m.entries) if e != 0) for m in self.matrices
+    def __init__(self, matrices: Tuple[CMat, ...], metric: Tuple[int, int, int, int]):
+        self.matrices = matrices  # in BASIS_ORDER
+        self.metric = metric
+        self.support = tuple(
+            tuple((k, e) for k, e in enumerate(m.entries) if e != 0) for m in matrices
         )
-        object.__setattr__(self, "support", support)
 
     def matrix(self, label: str) -> CMat:
         return self.matrices[BASIS_ORDER.index(label)]
@@ -84,16 +80,19 @@ class GammaBasis:
         return self.matrix(f"g{mu}")
 
 
-@dataclass(frozen=True)
 class GammaCoeffs:
     """Expansion weights keyed by the 16 basis labels."""
 
-    coeffs: Dict[str, complex]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        missing = set(BASIS_ORDER) - set(self.coeffs)
-        if missing:
-            raise ValueError(f"missing coefficients for {sorted(missing)}")
+    def __init__(self, coeffs: Dict[str, complex]):
+        if coeffs.keys() != _LABELS:
+            missing = _LABELS - coeffs.keys()
+            if missing:
+                raise ValueError(f"missing coefficients for {sorted(missing)}")
+            unknown = sorted(coeffs.keys() - _LABELS, key=repr)
+            raise ValueError(f"unknown coefficient labels {unknown}")
+        self.coeffs = coeffs
 
     def abs_sum(self) -> float:
         return sum(abs(self.coeffs[label]) for label in BASIS_ORDER)

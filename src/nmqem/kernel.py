@@ -27,7 +27,6 @@ cutoff only through wc' = omega_c * tau_s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "KernelParams",
@@ -39,24 +38,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class KernelParams:
     """Bath/coupling parameters: gamma0 and delta0 lump the microscopic
     constants, wc_ts is the cutoff times the switching time."""
 
-    gamma0: float
-    delta0: float
-    wc_ts: float
+    __slots__ = ("gamma0", "delta0", "wc_ts")
 
-    def __post_init__(self):
-        for name in ("gamma0", "delta0", "wc_ts"):
-            v = getattr(self, name)
+    def __init__(self, gamma0: float, delta0: float, wc_ts: float):
+        for name, v in (("gamma0", gamma0), ("delta0", delta0), ("wc_ts", wc_ts)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-        if self.gamma0 < 0 or self.delta0 < 0:
+        if gamma0 < 0 or delta0 < 0:
             raise ValueError("gamma0 and delta0 must be nonnegative")
-        if self.wc_ts <= 0:
+        if wc_ts <= 0:
             raise ValueError("wc_ts must be positive")
+        self.gamma0, self.delta0, self.wc_ts = gamma0, delta0, wc_ts
 
     @property
     def coupling(self) -> float:

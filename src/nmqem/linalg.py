@@ -1,14 +1,14 @@
 """Small dense complex linear algebra and adaptive quadrature.
 
 Everything here works on tiny fixed-size matrices (2x2, 4x4, 16x16), which
-is all the rest of the package ever needs. Matrices are immutable value
-objects; all functions are pure and thread-safe.
+is all the rest of the package ever needs. A matrix keeps its entries in a
+tuple, and no function changes a matrix once it is built; all functions are
+pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 __all__ = [
@@ -44,23 +44,18 @@ class NonConvergence(ArithmeticError):
     """Adaptive quadrature hit its recursion depth limit."""
 
 
-@dataclass(frozen=True)
 class CMat:
-    """Immutable row-major complex matrix of shape 2x2, 4x4 or 16x16."""
+    """Row-major complex matrix of shape 2x2, 4x4 or 16x16."""
 
-    rows: int
-    cols: int
-    entries: tuple = field(repr=False)
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if (self.rows, self.cols) not in _ALLOWED_SHAPES:
-            raise ShapeError(f"unsupported shape {self.rows}x{self.cols}")
-        entries = tuple(complex(e) for e in self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, rows: int, cols: int, entries: Sequence[complex]):
+        if (rows, cols) not in _ALLOWED_SHAPES:
+            raise ShapeError(f"unsupported shape {rows}x{cols}")
+        entries = tuple(map(complex, entries))
+        if len(entries) != rows * cols:
+            raise ShapeError(f"expected {rows * cols} entries, got {len(entries)}")
+        self.rows, self.cols, self.entries = rows, cols, entries
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "CMat":

@@ -42,7 +42,6 @@ breaks down.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
@@ -227,15 +226,15 @@ def cost_id(alpha: float) -> float:
     return abs(f) + abs(g) + 2.0 * abs(h)
 
 
-@dataclass(frozen=True)
 class RecoveryOp:
     """A recovery operator with both coefficient records attached."""
 
-    gate: str
-    alpha: float
-    matrix: CMat
-    coeffs: Dict[str, float]  # closed-form record (B,C,D,E) or (F,G,H)
-    gamma: gamma_mod.GammaCoeffs
+    __slots__ = ("gate", "alpha", "matrix", "coeffs", "gamma")
+
+    def __init__(self, gate: str, alpha: float, matrix: CMat, coeffs: Dict[str, float],
+                 gamma: gamma_mod.GammaCoeffs):
+        self.gate, self.alpha, self.matrix, self.gamma = gate, alpha, matrix, gamma
+        self.coeffs = coeffs  # closed-form record (B,C,D,E) or (F,G,H)
 
 
 def recovery_op(gate: str, alpha: float) -> RecoveryOp:

@@ -4,6 +4,6 @@
 ``regen.cli_cases()``; ``digest.json`` holds, per block, the ``float.hex`` text
 of a library quantity and its sha256. ``tests/test_golden.py`` compares both
 with the current code; ``regen.py`` rewrites them. Usage and help text is
-argparse's, wrapped at ``COLUMNS=80``; its wording is that of the CPython
-the corpus was written with (3.11).
+argparse's, wrapped at the CLI's fixed 78 columns; its wording is that of the
+CPython the corpus was written with (3.11).
 """

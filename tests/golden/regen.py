@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import tempfile
 import warnings
@@ -98,16 +97,8 @@ def run_case(template, tmp: str) -> dict:
     for the run and put back into the captured text."""
     argv = [a.format(tmp=tmp, fixtures=FIXTURES) for a in template]
     stdout, stderr = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"  # argparse wraps usage and help to the terminal width
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
 
     def text(stream):
         return stream.getvalue().replace(tmp, "{tmp}").replace(FIXTURES, "{fixtures}")

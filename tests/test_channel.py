@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import nmqem
+from golden import regen
 from nmqem.channel import (
     _RATE_MATRIX,
     _population_weights,
@@ -294,9 +295,26 @@ class TestRateMatrix:
 
 class TestToComputational:
     def test_multiplet_mixing(self):
-        # a pure central-multiplet population splits evenly over 01 and 10
-        assert to_computational((0, 1, 0, 0), MB) == pytest.approx((0, 0.5, 0.5, 0))
-        assert to_computational((0, 0, 0, 1), MB) == pytest.approx((0, 0.5, 0.5, 0))
+        # a pure central-multiplet population splits evenly over 01 and 10,
+        # by the exact weight 1/2 of the integer vectors
+        assert to_computational((0, 1, 0, 0), MB) == (0.0, 0.5, 0.5, 0.0)
+        assert to_computational((0, 0, 0, 1), MB) == (0.0, 0.5, 0.5, 0.0)
+
+    def test_float_basis_squares_its_amplitudes(self):
+        floats = Basis4("multiplet_floats", vectors=MB.vectors)
+        half = abs(MB.vectors[1][1]) ** 2  # (1/sqrt2)^2 rounds to 0.4999999999999999
+        assert to_computational((0, 1, 0, 0), floats) == (0.0, half, half, 0.0)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_columns_match_predict_table(self, gate):
+        # the public conversion and predict_table agree bit for bit
+        basis = basis_for_gate(gate)
+        for alpha in regen.digest_alphas():
+            ch = population_channel(gate, alpha)
+            columns = [to_computational(ch.column(j), basis) for j in range(4)]
+            table = predict_table(gate, alpha)
+            assert [[v.hex() for v in row] for row in zip(*columns)] == [
+                [v.hex() for v in row] for row in table], alpha
 
     def test_extremal_states_pass_through(self):
         assert to_computational((1, 0, 0, 0), MB) == pytest.approx((1, 0, 0, 0))
@@ -372,3 +390,12 @@ def test_cli_import_leaves_out_fractions():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout == "False\n"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses, and the inspect it imports, were the largest part of the import
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nmqem.__file__)))
+    code = "import sys, nmqem.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "False False\n"

@@ -501,6 +501,18 @@ class TestNegativeNumbers:
         assert out.startswith("usage: nmqem predict")
 
 
+@pytest.mark.parametrize("argv", [["predict", "--gate", "cnot", "--alpha", "0.02"], ["predict", "--help"]])
+def test_usage_and_help_ignore_the_terminal_width(argv, capsys, monkeypatch):
+    outputs = []
+    for columns in (None, "50", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        outputs.append(run_cli(argv, capsys))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["kernel", "--gamma0", "1", "--wc-ts", "10", "--mode", "printed"],

@@ -167,6 +167,11 @@ class TestDecompose:
         with pytest.raises(ValueError):
             GammaCoeffs({"I": 1.0})
 
+    def test_coeffs_reject_unknown_labels(self):
+        # abs_sum and reconstruct would drop the unknown weight without a word
+        with pytest.raises(ValueError, match="unknown coefficient labels \\['g6'\\]"):
+            GammaCoeffs({label: 0.0 for label in BASIS_ORDER} | {"g6": 5})
+
     def test_abs_sum(self):
         c = GammaCoeffs({label: 0.0 for label in BASIS_ORDER} | {"g5": 3 + 4j, "I": 1.0})
         assert c.abs_sum() == pytest.approx(6.0)
