@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import sys
 import tempfile
 import warnings
@@ -210,6 +211,103 @@ def digest_blocks() -> dict:
     return blocks
 
 
+def sweep_alphas():
+    """4,330 alphas for the hashed sweep: the 0.001 grid over [0, 1/4], 4,000
+    seeded uniform alphas in [0, 1/4), 1e-1 ... 1e-15, 1/4 - 1e-4 ... 1/4 -
+    1e-16, 1/4 - 2^-12 ... 1/4 - 2^-59 (the last four round to 1/4) and
+    0.2499, 0.24995, 0.249995."""
+    rng = random.Random(20261019)
+    return ([i / 1000 for i in range(251)] + [rng.uniform(0.0, 0.25) for _ in range(4000)]
+            + [10.0 ** -e for e in range(1, 16)] + [0.25 - 10.0 ** -e for e in range(4, 17)]
+            + [0.25 - 2.0 ** -e for e in range(12, 60)] + [0.2499, 0.24995, 0.249995])
+
+
+def channel_alphas():
+    """1/4, 1/3 and 2,000 seeded alphas between them, where predict_table and
+    population_channel still answer and recovery_op refuses."""
+    rng = random.Random(20261020)
+    return [0.25, 1.0 / 3.0] + [rng.uniform(0.25, 1.0 / 3.0) for _ in range(2000)]
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the class and text of the range or denominator error it
+    raises."""
+    try:
+        return fn(*args)
+    except (channel.AlphaOutOfRange, recovery.DenominatorNearZero) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def sweep_lines(gate: str) -> list:
+    """One gate's forward half over sweep_alphas() and channel_alphas(), as
+    text: predict_table and population_channel at every alpha; at the sweep
+    alphas also the recovery_op matrix, weights with their types and closed-form
+    record, the printed cost, cost_from_decomposition and reconstruct; every
+    error's text and every RuntimeWarning's text and the file it points at."""
+    printed = recovery.cost_swap if gate == "swap" else recovery.cost_id
+    basis = gamma.build_gamma_basis()
+    lines = []
+
+    def add(kind, alpha, value, show):
+        lines.append(f"{kind} {alpha.hex()} {value if isinstance(value, str) else show(value)}")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        sweep = sweep_alphas()
+        for i, alpha in enumerate(sweep + channel_alphas()):
+            add("predict", alpha, _attempt(channel.predict_table, gate, alpha),
+                lambda t: _row(v for row in t for v in row))
+            add("channel", alpha, _attempt(channel.population_channel, gate, alpha),
+                lambda ch: f"{ch.basis} {_row(v for row in ch.matrix for v in row)}")
+            if i >= len(sweep):
+                continue
+            op = _attempt(recovery.recovery_op, gate, alpha)
+            add("recovery_op", alpha, op, lambda op: " | ".join((
+                _row(op.matrix.entries),
+                " ".join(f"{k}:{type(w).__name__}:{_hex(w)}" for k, w in op.gamma.coeffs.items()),
+                " ".join(f"{k}={v.hex()}" for k, v in op.coeffs.items()))))
+            add(printed.__name__, alpha, _attempt(printed, alpha), float.hex)
+            if not isinstance(op, str):
+                add("cost_from_decomposition", alpha, recovery.cost_from_decomposition(op), float.hex)
+                add("reconstruct", alpha, gamma.reconstruct(basis, op.gamma), lambda m: _row(m.entries))
+            for w in caught:
+                lines.append(f"warning {w.category.__name__} {Path(w.filename).name}: {w.message}")
+            caught.clear()
+    return lines
+
+
+def gamma_weight_lines() -> list:
+    """reconstruct and abs_sum on 1,000 seeded weight sets, drawn from signed
+    zeros of both types, dyadics and random floats and complexes."""
+    rng = random.Random(20261021)
+    draws = (0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+             0.5, -0.25, 1j, -2 + 0.5j)
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind < 2:
+            return rng.choice(draws)
+        if kind == 2:
+            return rng.uniform(-4.0, 4.0)
+        return complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+
+    basis = gamma.build_gamma_basis()
+    lines = []
+    for _ in range(1000):
+        c = gamma.GammaCoeffs({label: draw() for label in gamma.BASIS_ORDER})
+        lines.append(f"{_row(c.coeffs.values())} | {c.abs_sum().hex()} | "
+                     f"{_row(gamma.reconstruct(basis, c).entries)}")
+    return lines
+
+
+# Blocks too large to keep as text: the corpus stores only their sha256.
+def hashed_blocks() -> dict:
+    """{block name: lines} of the blocks stored as sha256 alone."""
+    blocks = {f"sweep/{gate}": sweep_lines(gate) for gate in channel.GATES}
+    blocks["sweep/gamma_weights"] = gamma_weight_lines()
+    return blocks
+
+
 def sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -218,8 +316,9 @@ def regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         write_case_files(tmp)
         CLI_PATH.write_text(dump_cli({key: run_case(argv, tmp) for key, argv in cli_cases().items()}))
-    DIGEST_PATH.write_text(json.dumps({name: {"sha256": sha256(lines), "hex": lines}
-                                       for name, lines in digest_blocks().items()}, indent=1) + "\n")
+    digest = {name: {"sha256": sha256(lines), "hex": lines} for name, lines in digest_blocks().items()}
+    digest.update((name, {"sha256": sha256(lines)}) for name, lines in hashed_blocks().items())
+    DIGEST_PATH.write_text(json.dumps(digest, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ def test_cli_bytes(key, case_dir):
 
 @pytest.fixture(scope="module")
 def blocks():
-    return regen.digest_blocks()
+    return {**regen.digest_blocks(), **regen.hashed_blocks()}
 
 
 def test_digest_covers_every_block(blocks):
@@ -44,9 +44,10 @@ def test_digest_covers_every_block(blocks):
 @pytest.mark.parametrize("name", sorted(DIGEST))
 def test_digest(name, blocks):
     stored = DIGEST[name]
-    assert regen.sha256(stored["hex"]) == stored["sha256"], "stored hex text edited by hand"
     lines = blocks[name]
-    for i, (got, want) in enumerate(zip(lines, stored["hex"])):
-        assert got == want, f"{name} line {i} changed"
-    assert len(lines) == len(stored["hex"])
+    if "hex" in stored:  # a hashed block keeps no text to compare line by line
+        assert regen.sha256(stored["hex"]) == stored["sha256"], "stored hex text edited by hand"
+        for i, (got, want) in enumerate(zip(lines, stored["hex"])):
+            assert got == want, f"{name} line {i} changed"
+        assert len(lines) == len(stored["hex"])
     assert regen.sha256(lines) == stored["sha256"]
