@@ -13,6 +13,16 @@ in alpha = Re k, delta - 2 alpha R. Also produces the predicted probability
 tables, including the conversion from the exchange-symmetric multiplet basis
 to the computational basis.
 
+Each gate has a forward plan, built once at import, and a call makes one pass
+over it. ``_CHANNEL`` holds the 16 (delta_ac, R_ac) pairs, and each entry is
+delta - R alpha - R alpha, the k and conj(k) terms subtracted one at a time
+as ``v_element`` does, so it is bit-identical to it. ``_PREDICT_PLAN`` holds,
+per output row, only the nonzero (input, weight) pairs of the population
+weights, in input order, and computes each distinct row once. That is exact:
+to_computational's sum starts from 0.0, and a left-out term is a signed zero,
+which leaves a sum that never holds -0.0 unchanged. A row whose one weight is
+1.0 is the channel row as is, because no channel entry is -0.0.
+
 Channel matrices are column stochastic: column c is the output population
 distribution for pure input state c.
 """
@@ -21,7 +31,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .linalg import CMat
@@ -243,9 +252,10 @@ class Channel:
         return CMat.from_rows([list(r) for r in self.matrix])
 
 
-def _rate_matrix(basis: Basis4):
-    """The rate matrix R of a basis's population channel: with k = alpha
-    real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c], where
+def _channel_terms(basis: Basis4):
+    """A basis's population channel as its 16 (delta_ac, R_ac) pairs,
+    row-major: with k = alpha real, v_element(a, a, c, c) = delta_ac - 2 alpha
+    R[a][c], where R is the rate matrix
     R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a}
             = (3/2) delta_ac - sum_sigma |<x_a|sigma|x_c>|^2 / (4 |x_a|^2 |x_c|^2).
     Every term is an integer over a power of 2, so the floats are exact."""
@@ -253,15 +263,18 @@ def _rate_matrix(basis: Basis4):
     elem = _pauli_elements(vectors)
     n = _norms(vectors)
     return tuple(
-        tuple(
-            (1.5 if a == c else 0.0) - sum(_abs2(e[a][c]) for e in elem) / (4 * n[a] * n[c])
-            for c in range(4)
-        )
-        for a in range(4)
+        (1.0 if a == c else 0.0,
+         (1.5 if a == c else 0.0) - sum(_abs2(e[a][c]) for e in elem) / (4 * n[a] * n[c]))
+        for a in range(4) for c in range(4)
     )
 
 
-_RATE_MATRIX = {gate: _rate_matrix(basis_for_gate(gate)) for gate in GATES}
+_CHANNEL = {gate: _channel_terms(basis_for_gate(gate)) for gate in GATES}
+
+
+def _channel_rows(gate: str, alpha: float) -> list:
+    v = [d - r * alpha - r * alpha for d, r in _CHANNEL[gate]]
+    return [tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12]), tuple(v[12:16])]
 
 
 def population_channel(gate: str, alpha: float) -> Channel:
@@ -270,16 +283,7 @@ def population_channel(gate: str, alpha: float) -> Channel:
         raise ValueError(f"unknown gate {gate!r}")
     if not (0.0 <= alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside [0, 0.5)")
-    rows = tuple(
-        tuple(
-            # the k and conj(k) terms subtracted one at a time, as v_element
-            # does, so every entry is bit-identical to it
-            (1.0 if a == c else 0.0) - r * alpha - r * alpha
-            for c, r in enumerate(row)
-        )
-        for a, row in enumerate(_RATE_MATRIX[gate])
-    )
-    return Channel(gate, basis_for_gate(gate).name, alpha, rows)
+    return Channel(gate, basis_for_gate(gate).name, alpha, tuple(_channel_rows(gate, alpha)))
 
 
 def _weights(basis: Basis4):
@@ -303,24 +307,34 @@ def to_computational(populations: Sequence[float], basis: Basis4):
     return tuple(sum(row[a] * populations[a] for a in range(4)) for row in _weights(basis))
 
 
-@lru_cache(maxsize=None)
-def _population_weights(gate: str):
-    """The weights ``to_computational`` applies, once per gate."""
-    return _weights(basis_for_gate(gate))
+def _predict_plan(weights):
+    """The mixes, each distinct row of nonzero (a, w) pairs of the population
+    weights [beta][a] once, and per beta an index into the channel rows and
+    then the mixes; a lone pair (a, 1.0) indexes channel row a."""
+    rows = [tuple((a, w) for a, w in enumerate(row) if w) for row in weights]
+    mixes = tuple(dict.fromkeys(t for t in rows if len(t) > 1 or t[0][1] != 1.0))
+    return mixes, tuple(4 + mixes.index(t) if t in mixes else t[0][0] for t in rows)
+
+
+_PREDICT_PLAN = {gate: _predict_plan(_weights(basis_for_gate(gate))) for gate in GATES}
+
+
+def _mix(terms, rows) -> tuple:
+    acc = (0.0, 0.0, 0.0, 0.0)
+    for a, w in terms:
+        acc = [s + w * x for s, x in zip(acc, rows[a])]
+    return tuple(acc)
 
 
 def predict_table(gate: str, alpha: float):
     """Output probabilities in the computational basis, one column per input
-    state (multiplet inputs for SWAP, computational for Identity)."""
+    state (multiplet inputs for SWAP, computational for Identity): the
+    channel's columns through ``to_computational``, bit for bit."""
     if not (0.0 <= alpha <= 1.0 / 3.0):
         raise AlphaOutOfRange(f"alpha={alpha} outside [0, 1/3]")
-    ch = population_channel(gate, alpha)
-    if gate == "identity":
-        return ch.matrix
-    # to_computational applied to each column, with the same products
-    # summed in the same order
-    columns = tuple(zip(*ch.matrix))
-    return tuple(
-        tuple(sum(map(mul, row, col)) for col in columns)
-        for row in _population_weights(gate)
-    )
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+    rows = _channel_rows(gate, alpha)
+    mixes, layout = _PREDICT_PLAN[gate]
+    rows += [_mix(terms, rows) for terms in mixes]
+    return tuple(map(rows.__getitem__, layout))

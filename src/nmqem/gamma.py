@@ -95,7 +95,7 @@ class GammaCoeffs:
         self.coeffs = coeffs
 
     def abs_sum(self) -> float:
-        return sum(abs(self.coeffs[label]) for label in BASIS_ORDER)
+        return sum(map(abs, map(self.coeffs.__getitem__, BASIS_ORDER)))
 
 
 _PAULI = {
@@ -170,9 +170,10 @@ def reconstruct(basis: GammaBasis, c: GammaCoeffs) -> CMat:
     finite weight the skipped terms are signed zeros, which leave a sum that
     started from 0j unchanged."""
     acc = [0j] * 16
+    coeffs = c.coeffs
     for label, support in zip(BASIS_ORDER, basis.support):
-        weight = c.coeffs[label]
-        if weight != 0:
+        weight = coeffs[label]
+        if weight:
             for k, e in support:
                 acc[k] += weight * e
     return CMat(4, 4, acc)

@@ -9,13 +9,16 @@ operator V^-1 = sum_l P_l / (1 - 2 l alpha) therefore needs only I, R and R^2:
 
 and its Gamma expansion weights are the same linear form in the constant
 weights of I, R, P_1 and P_2. These four rows, entries and weights, are
-derived once per process from channel's R, which is the only per-gate
-literal (``_TABLE``). ``recovery_op`` evaluates the form in one pass; grouped
-by powers of alpha, entries of order alpha^2 keep their relative precision
-(``_resolvent``). It inverts nothing and takes no traces. Its closed-form
-record holds the coefficients (B, C, D, E) or (F, G, H) in their factored
-forms over 1 - 2 alpha and 1 - 4 alpha, from which the printed costs are
-computed.
+derived once per process from channel's R (``_TABLE``), and stored column by
+column: per gate, the labels with a nonzero weight and one (I, R, P_1, P_2)
+quadruple per entry and weight, the layout ``_resolvent`` reads.
+``recovery_op`` evaluates the form in one pass over the columns; grouped by
+powers of alpha, entries of order alpha^2 keep their relative precision. It
+inverts nothing and takes no traces. It computes the channel determinant
+once and takes its closed-form record, the coefficients (B, C, D, E) or
+(F, G, H) in their factored forms over 1 - 2 alpha and 1 - 4 alpha, from
+``_coefficients`` without calling ``closed_form_*``; the printed costs are
+computed from the same forms.
 
 Independent oracles, which the tests compare with the spectral route:
 ``recovery_numeric`` (LU inverse of the channel matrix),
@@ -45,7 +48,7 @@ import warnings
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import _RATE_MATRIX, AlphaOutOfRange, Channel
+from .channel import _CHANNEL, AlphaOutOfRange, Channel
 from .linalg import CMat, det, identity, mat_inv, mat_mul
 
 __all__ = [
@@ -98,36 +101,37 @@ def _check_denominator(den: float, alpha: float):
         raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
 
 
-def _table(rate) -> tuple:
+def _table(terms) -> tuple:
     """The labels and the four rows I, R, P_1 = 2R - R^2 and P_2 = (R^2 - R)/2
-    of one gate, with R its rate matrix. P_1 and P_2 are R's spectral
-    projectors for the eigenvalues 1 and 2 (R(R - I)(R - 2I) = 0). Each row
-    holds its 16 row-major entries and then its Gamma weights
-    tr(G_r^dagger M) / 4 on the labels that are nonzero in some row. R's
-    entries are halves, so every entry and weight is a small dyadic and the
-    floats are exact."""
-    r = CMat.from_rows(rate)
+    of one gate, column by column, with R read off the channel's (delta, R)
+    pairs. P_1 and P_2 are R's spectral projectors for the eigenvalues 1 and
+    2 (R(R - I)(R - 2I) = 0). Each row holds its 16 row-major entries and
+    then its Gamma weights tr(G_r^dagger M) / 4 on the labels that are
+    nonzero in some row. R's entries are halves, so every entry and weight is
+    a small dyadic and the floats are exact."""
+    r = CMat(4, 4, [rate for _, rate in terms])
     r2 = mat_mul(r, r)
     rows = (identity(4), r, r.scaled(2).add(r2.scaled(-1)), r2.add(r.scaled(-1)).scaled(0.5))
     basis = gamma_mod.build_gamma_basis()
     weights = [gamma_mod.decompose(basis, m).coeffs for m in rows]
     labels = tuple(label for label in gamma_mod.BASIS_ORDER if any(c[label] for c in weights))
-    return labels, tuple(
+    return labels, tuple(zip(*(
         tuple(e.real for e in m.entries)
         # real weights as floats, so that recovery_op sums them in floats
         + tuple(c[label].real if not c[label].imag else c[label] for label in labels)
         for m, c in zip(rows, weights)
-    )
+    )))
 
 
 # Each gate's table, derived once from channel's rate matrix R; the recovery
 # tests check every row against m_tensor in rationals.
-_TABLE = {gate: _table(rate) for gate, rate in _RATE_MATRIX.items()}
+_TABLE = {gate: _table(terms) for gate, terms in _CHANNEL.items()}
+_ZERO_WEIGHTS = dict.fromkeys(gamma_mod.BASIS_ORDER, 0j)
 
 
-def _resolvent(rows, alpha: float) -> list:
+def _resolvent(columns, alpha: float) -> list:
     """V^-1 = I + 2 alpha R + 4 alpha^2 [P_1 / (1 - 2 alpha) + 4 P_2 / (1 - 4 alpha)],
-    entry by entry over the rows (I, R, P_1, P_2): the spectral sum
+    entry by entry over the columns (I, R, P_1, P_2): the spectral sum
     sum_l P_l / (1 - 2 l alpha) by 1/(1 - x) = 1 + x + x^2 / (1 - x), with
     sum_l P_l = I and sum_l l P_l = R. Grouped by powers of alpha, an entry
     of order alpha or alpha^2 keeps its relative precision, which the plain
@@ -137,7 +141,7 @@ def _resolvent(rows, alpha: float) -> list:
     s1 = 1.0 / (1.0 - 2.0 * alpha)
     s2 = 4.0 / (1.0 - 4.0 * alpha)
     # 0.0 + ...: the alpha^2 bracket of a zero entry is +0.0, never -0.0
-    return [x + a * y + b * ((0.0 + s1 * z) + s2 * w) for x, y, z, w in zip(*rows)]
+    return [x + a * y + b * ((0.0 + s1 * z) + s2 * w) for x, y, z, w in columns]
 
 
 def _coefficients(alpha: float) -> Tuple[float, float, float, float]:
@@ -239,23 +243,23 @@ class RecoveryOp:
 
 def recovery_op(gate: str, alpha: float) -> RecoveryOp:
     """Build the recovery operator for a gate: V^-1 and its Gamma weights
-    from the gate's rows I, R, P_1 and P_2 in one pass, and the closed-form
-    coefficient record. Warns as ``recovery_numeric`` does when the channel
-    determinant, the product of its eigenvalues 1 - 2 l alpha, falls below
-    1e-4."""
+    from the gate's table in one pass, and the closed-form coefficient
+    record. Warns as ``recovery_numeric`` does when the channel determinant,
+    the product of its eigenvalues 1 - 2 l alpha, falls below 1e-4, and then
+    raises DenominatorNearZero below 1e-9, as ``closed_form_*`` do."""
     table = _TABLE.get(gate)
     if table is None:
         raise ValueError(f"unknown gate {gate!r}")
     _check_alpha(alpha)
-    _warn_if_nearly_singular(_DENOMINATOR[gate](alpha), alpha)
-    if gate == "swap":
-        coeffs = dict(zip("BCDE", closed_form_swap(alpha)))
-    else:
-        coeffs = dict(zip("FGH", closed_form_id(alpha)))
-    labels, rows = table
-    values = _resolvent(rows, alpha)
+    den = _DENOMINATOR[gate](alpha)
+    _warn_if_nearly_singular(den, alpha)
+    _check_denominator(den, alpha)
+    b, c, d, e = _coefficients(alpha)
+    coeffs = {"B": b, "C": c, "D": d, "E": e} if gate == "swap" else {"F": c, "G": d, "H": b}
+    labels, columns = table
+    values = _resolvent(columns, alpha)
     matrix = CMat(4, 4, values[:16])
-    weights = dict.fromkeys(gamma_mod.BASIS_ORDER, 0j)
+    weights = _ZERO_WEIGHTS.copy()
     weights.update(zip(labels, values[16:]))
     return RecoveryOp(gate, alpha, matrix, coeffs, gamma_mod.GammaCoeffs(weights))
 

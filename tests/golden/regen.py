@@ -178,8 +178,9 @@ def digest_blocks() -> dict:
         mt = channel.m_tensor(basis).m
         blocks[f"m_tensor/{gate}"] = [_row(mt[a][b][c][d] for c in range(4) for d in range(4))
                                       for a in range(4) for b in range(4)]
-        blocks[f"rate_matrix/{gate}"] = [_row(row) for row in channel._RATE_MATRIX[gate]]
-        blocks[f"population_weights/{gate}"] = [_row(row) for row in channel._population_weights(gate)]
+        rates = [r for _, r in channel._CHANNEL[gate]]
+        blocks[f"rate_matrix/{gate}"] = [_row(rates[4 * a:4 * a + 4]) for a in range(4)]
+        blocks[f"population_weights/{gate}"] = [_row(row) for row in channel._weights(basis)]
         blocks[f"vectors/{gate}"] = [_row(v) for v in basis.vectors]
         blocks[f"predict_table/{gate}"] = [
             f"{alpha.hex()} {_row(v for row in channel.predict_table(gate, alpha) for v in row)}"

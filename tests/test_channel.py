@@ -9,8 +9,9 @@ import pytest
 import nmqem
 from golden import regen
 from nmqem.channel import (
-    _RATE_MATRIX,
-    _population_weights,
+    _CHANNEL,
+    _PREDICT_PLAN,
+    _weights,
     GATES,
     AlphaOutOfRange,
     Basis4,
@@ -264,22 +265,48 @@ POPULATION_WEIGHTS = {
 }
 
 
+def rate_matrix(gate):
+    """R as 4x4 rows, read off the channel's (delta, R) pairs."""
+    rates = [r for _, r in _CHANNEL[gate]]
+    return tuple(tuple(rates[4 * a:4 * a + 4]) for a in range(4))
+
+
 class TestRateMatrix:
     @pytest.mark.parametrize("gate", GATES)
     def test_table_equals_m_tensor_derivation(self, gate):
-        assert _RATE_MATRIX[gate] == derived_rate_matrix(basis_for_gate(gate))
+        assert rate_matrix(gate) == derived_rate_matrix(basis_for_gate(gate))
 
     @pytest.mark.parametrize("gate", GATES)
     def test_equals_transcribed_table(self, gate):
-        assert [[x.hex() for x in row] for row in _RATE_MATRIX[gate]] == [
+        assert [[x.hex() for x in row] for row in rate_matrix(gate)] == [
             [x.hex() for x in row] for row in RATE_TABLE[gate]]
 
     @pytest.mark.parametrize("gate", GATES)
+    def test_delta_is_the_identity_pattern(self, gate):
+        deltas = [d.hex() for d, _ in _CHANNEL[gate]]
+        assert deltas == [(1.0 if a == c else 0.0).hex() for a in range(4) for c in range(4)]
+
+    @pytest.mark.parametrize("gate", GATES)
     def test_population_weights_are_exact(self, gate):
-        weights = _population_weights(gate)
+        weights = _weights(basis_for_gate(gate))
         assert weights == POPULATION_WEIGHTS[gate]
         assert {w for row in weights for w in row} <= {0.0, 0.5, 1.0}
         assert all(type(w) is float for row in weights for w in row)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_predict_plan_holds_the_nonzero_weights(self, gate):
+        # per output row: a channel row where the one weight is 1.0, else the
+        # nonzero (input, weight) pairs in input order, each distinct row once
+        mixes, layout = _PREDICT_PLAN[gate]
+        assert len(layout) == 4 and len(set(mixes)) == len(mixes)
+        for row, place in zip(POPULATION_WEIGHTS[gate], layout):
+            terms = tuple((a, w) for a, w in enumerate(row) if w)
+            if place < 4:
+                assert terms == ((place, 1.0),)
+            else:
+                assert mixes[place - 4] == terms
+        assert _PREDICT_PLAN["identity"] == ((), (0, 1, 2, 3))
+        assert _PREDICT_PLAN["swap"] == ((((1, 0.5), (3, 0.5)),), (0, 4, 4, 2))
 
     @pytest.mark.parametrize("gate", GATES)
     def test_channel_bit_identical_to_v_element(self, gate):

@@ -283,9 +283,11 @@ ROW_NAMES = ("I", "R", "P1", "P2")
 def table_rows(gate):
     """{name: (M, weights)} for the rows I, R, P_1, P_2 of the gate's table:
     M as 4x4 Fractions, weights as {label: complex} on all 16 labels."""
-    labels, rows = _TABLE[gate]
+    labels, columns = _TABLE[gate]
+    assert len(columns) == 16 + len(labels)
+    assert all(len(column) == len(ROW_NAMES) for column in columns)
     out = {}
-    for name, row in zip(ROW_NAMES, rows):
+    for name, row in zip(ROW_NAMES, zip(*columns)):
         assert len(row) == 16 + len(labels)
         weights = dict.fromkeys(BASIS_ORDER, 0j)
         weights.update((label, complex(w)) for label, w in zip(labels, row[16:]))
