@@ -147,10 +147,13 @@ def _trace_product(a: CMat, b: CMat) -> complex:
 
 def is_orthogonal(basis: GammaBasis) -> bool:
     """Exact Gram check tr(G_r^dagger G_s) = 4 delta_rs over all 16 pairs;
-    it implies that the 16 matrices span all 4x4 matrices."""
+    it implies that the 16 matrices span all 4x4 matrices. Each trace sums
+    over G_r's nonzero entries alone (``basis.support``, derived from the
+    entries): every term left out has a zero factor, and a non-finite entry
+    of G_s still shows in tr(G_s^dagger G_s)."""
     return all(
-        _trace_product(a, b) == (4 if r == s else 0)
-        for r, a in enumerate(basis.matrices)
+        sum(e.conjugate() * b.entries[k] for k, e in support) == (4 if r == s else 0)
+        for r, support in enumerate(basis.support)
         for s, b in enumerate(basis.matrices)
     )
 

@@ -5,6 +5,7 @@ import pytest
 
 from nmqem import gamma
 from nmqem.cli import build_parser, main, run_gamma_check
+from nmqem.linalg import CMat
 
 FIXTURES = files("nmqem") / "fixtures"
 SWAP_IBM = str(FIXTURES / "table3_ibm_swap.json")
@@ -38,6 +39,17 @@ class TestGammaCheck:
         matrices[idx] = good.matrix("g2")  # duplicate entry breaks the algebra
         bad = gamma.GammaBasis(tuple(matrices), good.metric)
         report = run_gamma_check(bad)
+        assert report["all_pass"] is False
+
+    def test_extra_entry_fails_rank_check(self):
+        good = gamma.build_gamma_basis()
+        matrices = list(good.matrices)
+        idx = gamma.BASIS_ORDER.index("g5g1")
+        entries = list(matrices[idx].entries)
+        entries[entries.index(0)] = 1j  # one extra nonzero entry
+        matrices[idx] = CMat(4, 4, entries)
+        report = run_gamma_check(gamma.GammaBasis(tuple(matrices), good.metric))
+        assert {c["check"]: c["pass"] for c in report["checks"]}["rank16"] is False
         assert report["all_pass"] is False
 
 

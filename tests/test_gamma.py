@@ -142,6 +142,18 @@ class TestDecompose:
         matrices[BASIS_ORDER.index("g1")] = BASIS.matrix("g2")
         assert not is_orthogonal(type(BASIS)(tuple(matrices), BASIS.metric))
 
+    @pytest.mark.parametrize("label", ["I", "g2", "g5"])
+    def test_extra_entry_breaks_gram_matrix(self, label):
+        # one more nonzero entry, where the matrix has a zero, enters its
+        # support and so its trace with itself
+        matrices = list(BASIS.matrices)
+        r = BASIS_ORDER.index(label)
+        k = next(k for k, e in enumerate(matrices[r].entries) if e == 0)
+        entries = list(matrices[r].entries)
+        entries[k] = 1
+        matrices[r] = CMat(4, 4, entries)
+        assert not is_orthogonal(type(BASIS)(tuple(matrices), BASIS.metric))
+
     def test_trace_weights_match_linear_solve(self):
         # independent oracle: the 16x16 system whose column r is the
         # flattened r-th basis matrix
