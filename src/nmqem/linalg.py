@@ -61,8 +61,7 @@ class CMat:
     def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "CMat":
         n = len(rows)
         m = len(rows[0]) if rows else 0
-        flat = tuple(complex(v) for row in rows for v in row)
-        return cls(n, m, flat)
+        return cls(n, m, [v for row in rows for v in row])  # __init__ converts each entry
 
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]

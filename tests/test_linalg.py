@@ -55,6 +55,16 @@ class TestCMat:
     def test_accepts_supported_shapes(self, n):
         assert identity(n).rows == n
 
+    def test_from_rows_converts_each_entry_to_complex(self):
+        m = CMat.from_rows([[1, -0.0], [2j, True]])
+        assert (m.rows, m.cols) == (2, 2)
+        assert [(type(e), e) for e in m.entries] == [(complex, 1), (complex, 0), (complex, 2j), (complex, 1)]
+        assert str(m.entries[1]) == "(-0+0j)"  # the sign of a zero survives
+        with pytest.raises(ShapeError):
+            CMat.from_rows([[1, 2], [3]])
+        with pytest.raises(TypeError):
+            CMat.from_rows([[1, 2], [3, None]])
+
 
 class TestMatMul:
     def test_identity_case(self):
