@@ -300,7 +300,11 @@ def _weights(basis: Basis4):
 
 def to_computational(populations: Sequence[float], basis: Basis4):
     """Diagonal populations in the computational basis, given populations
-    over `basis` states. Off-diagonal coherences are assumed absent."""
+    over `basis` states. Off-diagonal coherences are assumed absent. Raises
+    ValueError unless there are four populations, and NotNormalized unless
+    they sum to one."""
+    if len(populations) != 4:
+        raise ValueError(f"need four populations, got {len(populations)}")
     total = sum(populations)
     if abs(total - 1.0) > 1e-9:
         raise NotNormalized(f"populations sum to {total}, expected 1")

@@ -355,6 +355,14 @@ class TestToComputational:
         with pytest.raises(NotNormalized):
             to_computational((0.5, 0.5, 0.5, 0.0), MB)
 
+    @pytest.mark.parametrize("populations", [(0.5, 0.25, 0.25), (0.5, 0.25, 0, 0, 0.25), ()])
+    def test_needs_four_populations(self, populations):
+        # checked before the sum: the 5-vector's first four entries are
+        # not normalised, and the 3-vector sums to one
+        with pytest.raises(ValueError, match="need four populations") as raised:
+            to_computational(populations, MB)
+        assert type(raised.value) is ValueError
+
 
 # predicted tables as affine functions: table[out][in] = a + b*alpha
 SWAP_TABLE = (
