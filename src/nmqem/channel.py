@@ -18,10 +18,11 @@ over it. ``_CHANNEL`` holds the 16 (delta_ac, R_ac) pairs, and each entry is
 delta - R alpha - R alpha, the k and conj(k) terms subtracted one at a time
 as ``v_element`` does, so it is bit-identical to it. ``_PREDICT_PLAN`` holds,
 per output row, only the nonzero (input, weight) pairs of the population
-weights, in input order, and computes each distinct row once. That is exact:
-to_computational's sum starts from 0.0, and a left-out term is a signed zero,
-which leaves a sum that never holds -0.0 unchanged. A row whose one weight is
-1.0 is the channel row as is, because no channel entry is -0.0.
+weights, in input order, and predict_table computes each distinct row once.
+That is exact: to_computational's sum starts from 0.0 and so never holds
+-0.0, and a left-out term is a signed zero, which leaves such a sum
+unchanged. A row whose one weight is 1.0 is the channel row as is, because
+no channel entry is -0.0.
 
 Channel matrices are column stochastic: column c is the output population
 distribution for pure input state c.
