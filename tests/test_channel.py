@@ -271,6 +271,13 @@ def rate_matrix(gate):
     return tuple(tuple(rates[4 * a:4 * a + 4]) for a in range(4))
 
 
+# (mixes, layout): SWAP's rows 01 and 10 are one mix of m2 and m4
+PREDICT_PLANS = {
+    "swap": ((((1, 0.5), (3, 0.5)),), (0, 4, 4, 2)),
+    "identity": ((), (0, 1, 2, 3)),
+}
+
+
 class TestRateMatrix:
     @pytest.mark.parametrize("gate", GATES)
     def test_table_equals_m_tensor_derivation(self, gate):
@@ -305,8 +312,7 @@ class TestRateMatrix:
                 assert terms == ((place, 1.0),)
             else:
                 assert mixes[place - 4] == terms
-        assert _PREDICT_PLAN["identity"] == ((), (0, 1, 2, 3))
-        assert _PREDICT_PLAN["swap"] == ((((1, 0.5), (3, 0.5)),), (0, 4, 4, 2))
+        assert _PREDICT_PLAN[gate] == PREDICT_PLANS[gate]
 
     @pytest.mark.parametrize("gate", GATES)
     def test_channel_bit_identical_to_v_element(self, gate):
