@@ -225,15 +225,15 @@ def v_element(
     c: int,
     d: int,
 ) -> complex:
-    """Matrix element of the noisy evolution superoperator over the basis of
-    ``mt``, one-indexed."""
+    """Element <a|L(|c><d|)|b> of the noisy evolution superoperator L, the
+    second-order time-convolutionless map, over the basis of ``mt``, one-indexed."""
     d_ac = 1.0 if a == c else 0.0
     d_bd = 1.0 if b == d else 0.0
     m_acdb = mt.at(a, c, d, b)
     return (
         d_ac * d_bd
         - (d_bd * mt.diag_sum(a, c) - m_acdb) * k
-        - (d_ac * mt.diag_sum(a, b) - m_acdb) * k.conjugate()
+        - (d_ac * mt.diag_sum(d, b) - m_acdb) * k.conjugate()
     )
 
 

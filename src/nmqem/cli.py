@@ -131,7 +131,7 @@ def cmd_kernel(args, out) -> int:
                 if not math.isfinite(args.wc_ts * u):
                     raise OverflowError(f"wc_ts * u overflows at wc_ts={args.wc_ts}, u={u}")
                 params = KernelParams(
-                    gamma0=coupling / args.wc_ts,
+                    gamma0=coupling / args.wc_ts if args.gamma0 is None else args.gamma0,
                     delta0=args.delta0,
                     wc_ts=args.wc_ts,
                 )

@@ -7,12 +7,13 @@ with ``probs`` instead of ``counts`` accepts already-normalized tables
 (row sums within +-0.02 of one, matching the rounding slack of published
 device tables).
 
-Estimation classifies every (input, output) cell by its symbolic role in the
-predicted table -- alpha, 1-2*alpha, (1-2*alpha)/2 or zero -- and inverts
-each non-zero cell for alpha. The reported min/max range over the
-alpha-role cells reproduces the published per-device estimates; the
-least-squares estimate over all cells is an extension beyond those ranges
-so a single alpha can drive the coupling fit reproducibly.
+Estimation reads every (output, input) cell of the predicted table as its
+affine pair (a, b), p(alpha) = a + b alpha -- alpha, 1-2*alpha,
+(1-2*alpha)/2 or zero for SWAP and Identity -- and inverts each cell with a
+nonzero slope for alpha. The reported min/max range over the p = alpha cells
+reproduces the published per-device estimates; the least-squares estimate
+over all cells is an extension beyond those ranges so a single alpha can
+drive the coupling fit reproducibly.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ ROLE_ZERO = "ZERO"
 
 # Published per-device ranges for Re k at the switching time, keyed by
 # (gate, normalized device label). Where the deterministic min/max over the
-# alpha-role cells disagrees with these, the report flags the divergence.
+# p = alpha cells disagrees with these, the report flags the divergence.
 REFERENCE_RANGES: Dict[Tuple[str, str], Tuple[float, float]] = {
     ("swap", "ionq"): (6.0e-3, 1.8e-2),
     ("swap", "ibm_guadalupe"): (1.5e-2, 5.6e-2),
@@ -214,28 +215,25 @@ def normalize(ct: CountTable) -> ProbTable:
     return ProbTable(ct.gate, ct.device, matrix)
 
 
-# Affine model p_cell(alpha) = a + b * alpha for each role.
-_ROLE_MODEL = {
-    ROLE_ALPHA: (0.0, 1.0),
-    ROLE_ONE_MINUS_2A: (1.0, -2.0),
-    ROLE_HALF: (0.5, -1.0),
-    ROLE_ZERO: (0.0, 0.0),
+# The display name of each affine pair (a, b), p_cell(alpha) = a + b * alpha.
+_ROLE_NAME = {
+    (0.0, 1.0): ROLE_ALPHA,
+    (1.0, -2.0): ROLE_ONE_MINUS_2A,
+    (0.5, -1.0): ROLE_HALF,
+    (0.0, 0.0): ROLE_ZERO,
 }
 
 
 @lru_cache(maxsize=None)
 def classify_cells(gate: str):
-    """Symbolic role of every (output, input) cell, read from the predicted
-    table at alpha = 0 and 1/4: the intercept a and slope 4 (p(1/4) - a) of
-    each cell, both exact in floats, looked up in the role model. The roles
+    """The affine pair (a, b) of every (output, input) cell, p(alpha) =
+    a + b alpha, read from the predicted table at alpha = 0 and 1/4: the
+    intercept a and the slope 4 (p(1/4) - a), both exact in floats. The pairs
     depend only on the gate, so they are computed once per gate."""
-    if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}")
-    role_of = {model: role for role, model in _ROLE_MODEL.items()}
     at0 = predict_table(gate, 0.0)
     at_quarter = predict_table(gate, 0.25)
     return tuple(
-        tuple(role_of[a, 4.0 * (q - a)] for a, q in zip(row0, row_quarter))
+        tuple((a, 4.0 * (q - a)) for a, q in zip(row0, row_quarter))
         for row0, row_quarter in zip(at0, at_quarter)
     )
 
@@ -243,12 +241,13 @@ def classify_cells(gate: str):
 def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
     """Per-cell estimates of alpha = Re k plus range and least squares.
 
-    min/max range over the alpha-role cells only (the off-diagonal leakage
-    cells); the least-squares estimate uses every cell's affine model.
+    min/max range over the (0, 1) cells only, p = alpha (the off-diagonal
+    leakage cells); the least-squares estimate uses every cell's affine pair.
+    A cell with slope 0 carries no estimate.
     """
     if gate != pt.gate:
         raise ValueError(f"gate {gate!r} does not match table gate {pt.gate!r}")
-    roles = classify_cells(gate)
+    cells = classify_cells(gate)
     in_labels = input_labels(gate)
     per_cell = []
     alpha_cells = []
@@ -256,17 +255,16 @@ def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
     den = 0.0
     for i in range(4):
         for j in range(4):
-            role = roles[i][j]
+            a, b = cells[i][j]
             p = pt.cell(i, j)
-            ra, rb = _ROLE_MODEL[role]
-            num += rb * (p - ra)
-            den += rb * rb
-            if role == ROLE_ZERO:
+            num += b * (p - a)
+            den += b * b
+            if b == 0.0:
                 continue
-            # + 0.0: a cell at its role's intercept estimates 0, never -0
-            est = (p - ra) / rb + 0.0
-            per_cell.append(CellEstimate(in_labels[j], OUTCOMES[i], role, est))
-            if role == ROLE_ALPHA:
+            # + 0.0: a cell at its intercept estimates 0, never -0
+            est = (p - a) / b + 0.0
+            per_cell.append(CellEstimate(in_labels[j], OUTCOMES[i], _ROLE_NAME[a, b], est))
+            if (a, b) == (0.0, 1.0):
                 alpha_cells.append(est)
     # Every column adds a nonnegative amount to num in exact arithmetic (its
     # probabilities sum to one), so a negative quotient is rounding.
@@ -274,8 +272,8 @@ def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
     ssr = 0.0
     for i in range(4):
         for j in range(4):
-            ra, rb = _ROLE_MODEL[roles[i][j]]
-            ssr += (pt.cell(i, j) - ra - rb * lsq) ** 2
+            a, b = cells[i][j]
+            ssr += (pt.cell(i, j) - a - b * lsq) ** 2
     return RekEstimate(
         per_cell=per_cell,
         min=min(alpha_cells),

@@ -14,28 +14,28 @@ column: per gate, the labels with a nonzero weight and one (I, R, P_1, P_2)
 quadruple per entry and weight, the layout ``_resolvent`` reads.
 ``recovery_op`` evaluates the form in one pass over the columns; grouped by
 powers of alpha, entries of order alpha^2 keep their relative precision. It
-inverts nothing and takes no traces. It computes the channel determinant
-once and takes its closed-form record, the coefficients (B, C, D, E) or
-(F, G, H) in their factored forms over 1 - 2 alpha and 1 - 4 alpha, from
-``_coefficients`` without calling ``closed_form_*``; the printed costs are
-computed from the same forms.
+inverts nothing and takes no traces. It computes the channel determinant,
+V's eigenvalues 1 - 2 l alpha multiplied over the table's spectrum, once and
+takes its closed-form record, the coefficients (B, C, D, E) or (F, G, H) in
+their factored forms over 1 - 2 alpha and 1 - 4 alpha, from ``_coefficients``
+without calling ``closed_form_*``; the printed costs use the same forms.
 
 Independent oracles, which the tests compare with the spectral route:
 ``recovery_numeric`` (LU inverse of the channel matrix),
 ``swap_recovery_matrix`` / ``id_recovery_matrix`` (matrices assembled from the
 closed-form coefficients) and ``gamma.decompose`` (trace formula).
 
-Costs come in three flavours:
+Costs come in two flavours:
 
 * ``cost_swap`` / ``cost_id`` -- the printed absolute-value combinations of
   the closed-form coefficients (the canonical contract; the identity one
   simplifies to 1/(1-4a) on the whole domain).
 * ``cost_from_decomposition`` -- sum of absolute Gamma expansion weights of
-  the recovery matrix. For the identity gate this equals ``cost_id``; for
-  SWAP it is smaller than the printed combination by exactly |D| (the unique
-  expansion carries D with weight |D| where the printed combination counts
-  it twice) and is reported as a separate diagnostic, never silently
-  substituted.
+  the recovery matrix, equal to ||V^-1||_1->1 and so the optimal cost. For
+  the identity gate this equals ``cost_id``; for SWAP it is smaller than the
+  printed combination by exactly |D| (the unique expansion carries D with
+  weight |D| where the printed combination counts it twice) and is reported
+  as a separate diagnostic, never silently substituted.
 
 Domain is alpha in [0, 0.25): both channel determinants have their first
 root at 1/4, beyond which the quasi-probability reading of the expansion
@@ -81,21 +81,6 @@ def _check_alpha(alpha: float):
         raise AlphaOutOfRange(f"alpha={alpha} outside [0, {ALPHA_MAX})")
 
 
-def _swap_denominator(alpha: float) -> float:
-    # SWAP channel determinant (1 - 2a)(1 - 4a)^2
-    q = 1.0 - 4.0 * alpha
-    return (1.0 - 2.0 * alpha) * q * q
-
-
-def _id_denominator(alpha: float) -> float:
-    # Identity channel determinant (1 - 2a)^2 (1 - 4a)
-    p = 1.0 - 2.0 * alpha
-    return p * p * (1.0 - 4.0 * alpha)
-
-
-_DENOMINATOR = {"swap": _swap_denominator, "identity": _id_denominator}
-
-
 def _check_denominator(den: float, alpha: float):
     if abs(den) < _DENOM_EPS:
         raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
@@ -126,6 +111,11 @@ def _table(terms) -> tuple:
 # Each gate's table, derived once from channel's rate matrix R; the recovery
 # tests check every row against m_tensor in rationals.
 _TABLE = {gate: _table(terms) for gate, terms in _CHANNEL.items()}
+# 2 l for each nonzero eigenvalue l of R, ascending: l = 1 and 2, as often as
+# tr P_1 and tr P_2, the sums of the P columns over the table's diagonal.
+_FACTORS = {gate: (2.0,) * round(sum(c[2] for c in columns[0:16:5]))
+            + (4.0,) * round(sum(c[3] for c in columns[0:16:5]))
+            for gate, (_, columns) in _TABLE.items()}
 _ZERO_WEIGHTS = dict.fromkeys(gamma_mod.BASIS_ORDER, 0j)
 
 
@@ -144,6 +134,16 @@ def _resolvent(columns, alpha: float) -> list:
     return [x + a * y + b * ((0.0 + s1 * z) + s2 * w) for x, y, z, w in columns]
 
 
+def _determinant(gate: str, alpha: float) -> float:
+    """The channel determinant, the product of V's eigenvalues 1 - 2 l alpha
+    over R's nonzero eigenvalues l. Multiplied in ascending l, it is the
+    factored (1 - 2a)(1 - 4a)^2 (SWAP) or (1 - 2a)^2 (1 - 4a) bit for bit."""
+    den = 1.0
+    for f in _FACTORS[gate]:
+        den *= 1.0 - f * alpha
+    return den
+
+
 def _coefficients(alpha: float) -> Tuple[float, float, float, float]:
     # Every coefficient factors over p = 1 - 2a and q = 1 - 4a:
     # B = -a/q, C = (1 - 4a + 2a^2)/(pq), D = 2a^2/(pq), E = (1 - a)/q.
@@ -158,7 +158,7 @@ def _coefficients(alpha: float) -> Tuple[float, float, float, float]:
 def closed_form_swap(alpha: float) -> Tuple[float, float, float, float]:
     """Coefficients (B, C, D, E) of the SWAP recovery matrix."""
     _check_alpha(alpha)
-    _check_denominator(_swap_denominator(alpha), alpha)
+    _check_denominator(_determinant("swap", alpha), alpha)
     return _coefficients(alpha)
 
 
@@ -166,7 +166,7 @@ def closed_form_id(alpha: float) -> Tuple[float, float, float]:
     """Coefficients (F, G, H) of the Identity recovery matrix; they equal
     (C, D, B) of the SWAP gate."""
     _check_alpha(alpha)
-    _check_denominator(_id_denominator(alpha), alpha)
+    _check_denominator(_determinant("identity", alpha), alpha)
     b, c, d, _ = _coefficients(alpha)
     return c, d, b
 
@@ -251,7 +251,7 @@ def recovery_op(gate: str, alpha: float) -> RecoveryOp:
     if table is None:
         raise ValueError(f"unknown gate {gate!r}")
     _check_alpha(alpha)
-    den = _DENOMINATOR[gate](alpha)
+    den = _determinant(gate, alpha)
     _warn_if_nearly_singular(den, alpha)
     _check_denominator(den, alpha)
     b, c, d, e = _coefficients(alpha)

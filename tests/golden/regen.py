@@ -205,7 +205,8 @@ def digest_blocks() -> dict:
         # the KernelParams and u grid that ``kernel --mode {printed,quadrature}`` evaluates
         args = build_parser().parse_args(["kernel", *argv])
         couplings = args.coupling if args.gamma0 is None else [args.gamma0 * args.wc_ts]
-        params = [(c, kernel.KernelParams(c / args.wc_ts, args.delta0, args.wc_ts)) for c in couplings]
+        params = [(c, kernel.KernelParams(c / args.wc_ts if args.gamma0 is None else args.gamma0,
+                                          args.delta0, args.wc_ts)) for c in couplings]
         for k in (kernel.k_printed, kernel.k_quadrature):
             blocks[f"{k.__name__}/{name}"] = [f"{c.hex()} {u.hex()} {_hex(k(p, u))}"
                                               for c, p in params for u in _u_grid(args.u_max, args.steps)]

@@ -116,17 +116,21 @@ def kron(a, b):
     return [[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)] for i in range(4)]
 
 
+# the six single-qubit Paulis on two qubits, built by Kronecker products
+SPIN_OPS = [kron(PAULI_2X2[p], PAULI_2X2["I"]) for p in "XYZ"]
+SPIN_OPS += [kron(PAULI_2X2["I"], PAULI_2X2[p]) for p in "XYZ"]
+
+
+def element(op, u, v):
+    """<u|op|v> for float amplitude vectors u, v."""
+    return sum(u[i].conjugate() * op[i][j] * v[j] for i in range(4) for j in range(4))
+
+
 def float_m_tensor(vectors):
     """M_abcd = (1/4) sum_sigma <a|sigma|b><c|sigma|d> in plain complex
     arithmetic over the float amplitudes, sigma the six Kronecker-built
     single-qubit Paulis."""
-    ops = [kron(PAULI_2X2[p], PAULI_2X2["I"]) for p in "XYZ"]
-    ops += [kron(PAULI_2X2["I"], PAULI_2X2[p]) for p in "XYZ"]
-
-    def element(op, u, v):
-        return sum(u[i].conjugate() * op[i][j] * v[j] for i in range(4) for j in range(4))
-
-    elem = [[[element(op, u, v) for v in vectors] for u in vectors] for op in ops]
+    elem = [[[element(op, u, v) for v in vectors] for u in vectors] for op in SPIN_OPS]
     return [[[[sum(e[a][b] * e[c][d] for e in elem) / 4 for d in range(4)] for c in range(4)]
              for b in range(4)] for a in range(4)]
 
@@ -142,6 +146,75 @@ class TestMTensorOracle:
                 for c in range(4):
                     for d in range(4):
                         assert abs(got[a][b][c][d] - want[a][b][c][d]) <= 1e-15, (a, b, c, d)
+
+
+def matmul(a, b):
+    return [[sum(a[i][m] * b[m][j] for m in range(4)) for j in range(4)] for i in range(4)]
+
+
+def matsum(ms):
+    return [[sum(m[i][j] for m in ms) for j in range(4)] for i in range(4)]
+
+
+def tcl2_map(vectors, k):
+    """<a|L(|c><d|)|b>, indexed [a][b][c][d], of the second-order
+    time-convolutionless map
+    L(rho) = rho - (k/4) sum_sigma (sigma sigma rho - sigma rho sigma)
+                 - (conj(k)/4) sum_sigma (rho sigma sigma - sigma rho sigma)
+    in plain complex arithmetic over the float amplitudes, sigma the six
+    Kronecker-built single-qubit Paulis (Breuer and Petruccione, The Theory of
+    Open Quantum Systems, OUP 2002)."""
+    squares = matsum([matmul(op, op) for op in SPIN_OPS])
+    out = [[[[None] * 4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    for c, vc in enumerate(vectors):
+        for d, vd in enumerate(vectors):
+            rho = [[vc[i] * vd[j].conjugate() for j in range(4)] for i in range(4)]
+            sandwiched = matsum([matmul(matmul(op, rho), op) for op in SPIN_OPS])
+            left, right = matmul(squares, rho), matmul(rho, squares)
+            mapped = [[rho[i][j] - k / 4 * (left[i][j] - sandwiched[i][j])
+                       - k.conjugate() / 4 * (right[i][j] - sandwiched[i][j])
+                       for j in range(4)] for i in range(4)]
+            for a, va in enumerate(vectors):
+                for b, vb in enumerate(vectors):
+                    out[a][b][c][d] = element(mapped, va, vb)
+    return out
+
+
+INDICES = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4) for d in range(4)]
+
+
+class TestVElementTCL2:
+    """v_element against the full TCL2 map, coherences included."""
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_all_entries_match(self, gate):
+        basis = basis_for_gate(gate)
+        k = 0.03 + 0.011j
+        want = tcl2_map(basis.vectors, k)
+        mt = m_tensor(basis)
+        for a, b, c, d in INDICES:
+            got = v_element(mt, k, a + 1, b + 1, c + 1, d + 1)
+            assert abs(got - want[a][b][c][d]) <= 1e-15, (a, b, c, d)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_trace_preserved(self, gate):
+        # tr L(|c><d|) = delta_cd: coherences map to trace 0, populations to 1
+        mt = m_tensor(basis_for_gate(gate))
+        for c in range(1, 5):
+            for d in range(1, 5):
+                trace = sum(v_element(mt, 0.03 + 0.011j, a, a, c, d) for a in range(1, 5))
+                if c == d:
+                    assert abs(trace - 1.0) <= 1e-15, (c, d)
+                else:
+                    assert trace == 0.0, (c, d)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_imaginary_part_of_k_has_no_effect(self, gate):
+        mt = m_tensor(basis_for_gate(gate))
+        for a, b, c, d in INDICES:
+            want = v_element(mt, 0.03 + 0.0j, a + 1, b + 1, c + 1, d + 1)
+            for im in (0.011, -0.7, 5.0):
+                assert v_element(mt, complex(0.03, im), a + 1, b + 1, c + 1, d + 1) == want
 
 
 class TestVElement:

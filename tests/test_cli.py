@@ -5,6 +5,7 @@ import pytest
 
 from nmqem import gamma
 from nmqem.cli import build_parser, main, run_gamma_check
+from nmqem.kernel import KernelParams, k_printed, k_quadrature
 from nmqem.linalg import CMat
 
 FIXTURES = files("nmqem") / "fixtures"
@@ -118,6 +119,19 @@ class TestKernel:
         assert code == 0
         last = out.strip().split("\n")[-1].split(",")
         assert float(last[2]) == pytest.approx(2.3160456292895, abs=1e-8)
+
+    @pytest.mark.parametrize("mode, k", [("printed", k_printed), ("quadrature", k_quadrature)])
+    def test_gamma0_passes_through_unchanged(self, mode, k, capsys):
+        # (0.1 * 3) / 3 is 0.10000000000000002, which moves Re k at u = 0.5 by
+        # an ulp; the coupling column stays gamma0 * wc_ts
+        code, out, _ = run_cli(["kernel", "--mode", mode, "--gamma0", "0.1", "--wc-ts", "3",
+                                "--steps", "3", "--u-max", "1", "--format", "json"], capsys)
+        assert code == 0
+        params = KernelParams(0.1, 0.0, 3.0)
+        rows = json.loads(out)["rows"]
+        assert [row["coupling"].hex() for row in rows] == [(0.1 * 3.0).hex()] * 3
+        want = [k(params, u).real.hex() for u in (0.0, 0.5, 1.0)]
+        assert [row["re_k"].hex() for row in rows] == want
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

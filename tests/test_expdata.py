@@ -3,8 +3,9 @@ from importlib.resources import files
 
 import pytest
 
-from nmqem.channel import predict_table
+from nmqem.channel import input_labels, predict_table
 from nmqem.expdata import (
+    OUTCOMES,
     ROLE_ALPHA,
     ROLE_HALF,
     ROLE_ONE_MINUS_2A,
@@ -187,34 +188,37 @@ class TestNormalize:
             normalize(ct)
 
 
+# the affine pairs (a, b), p(alpha) = a + b alpha, of the readout cells
+ALPHA = (0.0, 1.0)
+ONE_MINUS_2A = (1.0, -2.0)
+HALF = (0.5, -1.0)
+ZERO = (0.0, 0.0)
+ROLE_NAMES = {ALPHA: ROLE_ALPHA, ONE_MINUS_2A: ROLE_ONE_MINUS_2A, HALF: ROLE_HALF, ZERO: ROLE_ZERO}
+
+
+def count_pairs(cells):
+    counts = {}
+    for row in cells:
+        for pair in row:
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
 class TestClassifyCells:
     def test_swap_roles(self):
-        roles = classify_cells("swap")
-        assert roles[0][0] == ROLE_ONE_MINUS_2A
-        assert roles[1][1] == ROLE_HALF
-        assert roles[2][1] == ROLE_HALF
-        assert roles[0][2] == ROLE_ZERO
-        assert roles[1][0] == ROLE_ALPHA
-        counts = {}
-        for row in roles:
-            for r in row:
-                counts[r] = counts.get(r, 0) + 1
-        assert counts == {
-            ROLE_ONE_MINUS_2A: 2,
-            ROLE_HALF: 4,
-            ROLE_ZERO: 2,
-            ROLE_ALPHA: 8,
-        }
+        cells = classify_cells("swap")
+        assert cells[0][0] == ONE_MINUS_2A
+        assert cells[1][1] == HALF
+        assert cells[2][1] == HALF
+        assert cells[0][2] == ZERO
+        assert cells[1][0] == ALPHA
+        assert count_pairs(cells) == {ONE_MINUS_2A: 2, HALF: 4, ZERO: 2, ALPHA: 8}
 
     def test_identity_roles(self):
-        roles = classify_cells("identity")
-        counts = {}
-        for row in roles:
-            for r in row:
-                counts[r] = counts.get(r, 0) + 1
-        assert counts == {ROLE_ONE_MINUS_2A: 4, ROLE_ZERO: 4, ROLE_ALPHA: 8}
+        cells = classify_cells("identity")
+        assert count_pairs(cells) == {ONE_MINUS_2A: 4, ZERO: 4, ALPHA: 8}
         for i in range(4):
-            assert roles[i][i] == ROLE_ONE_MINUS_2A
+            assert cells[i][i] == ONE_MINUS_2A
 
     def test_unknown_gate(self):
         for _ in range(3):  # on every call, not only the first
@@ -223,31 +227,26 @@ class TestClassifyCells:
 
     @pytest.mark.parametrize("gate", ["swap", "identity"])
     def test_cached_roles_equal_the_probe(self, gate):
-        # the exact lookup against a probe of the table at alpha = 0 and 0.1,
-        # matched to the role model within 1e-9
-        models = {
-            ROLE_ALPHA: (0.0, 1.0),
-            ROLE_ONE_MINUS_2A: (1.0, -2.0),
-            ROLE_HALF: (0.5, -1.0),
-            ROLE_ZERO: (0.0, 0.0),
-        }
+        # the exact pairs against a probe of the table at alpha = 0 and 0.1,
+        # matched to the known pairs within 1e-9
         at0, at1 = predict_table(gate, 0.0), predict_table(gate, 0.1)
         probed = tuple(
             tuple(
                 next(
-                    role
-                    for role, (a, b) in models.items()
+                    (a, b)
+                    for a, b in ROLE_NAMES
                     if abs(at0[i][j] - a) < 1e-9 and abs((at1[i][j] - at0[i][j]) / 0.1 - b) < 1e-9
                 )
                 for j in range(4)
             )
             for i in range(4)
         )
-        roles = classify_cells(gate)
-        assert roles == probed
-        assert roles == classify_cells.__wrapped__(gate)
-        assert classify_cells(gate) is roles
-        assert all(isinstance(row, tuple) for row in roles)
+        cells = classify_cells(gate)
+        assert cells == probed
+        assert cells == classify_cells.__wrapped__(gate)
+        assert classify_cells(gate) is cells
+        assert all(isinstance(row, tuple) for row in cells)
+        assert all(type(x) is float for row in cells for pair in row for x in pair)
 
 
 class TestEstimate:
@@ -288,6 +287,18 @@ class TestEstimate:
         alpha_cells = [c for c in est.per_cell if c.role == ROLE_ALPHA]
         assert len(alpha_cells) == 8
 
+    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    def test_each_role_names_its_cell_pair(self, gate):
+        cells = classify_cells(gate)
+        inputs = input_labels(gate)
+        est = estimate_re_k(prob_table_from_predicted(gate, 0.02), gate)
+        assert [(c.input, c.output, c.role) for c in est.per_cell] == [
+            (inputs[j], OUTCOMES[i], ROLE_NAMES[cells[i][j]])
+            for i in range(4)
+            for j in range(4)
+            if cells[i][j] != ZERO
+        ]
+
     def test_cell_estimates_invert_each_role_bit_for_bit(self):
         # (p - a) / b + 0.0 against each role's own inversion, by float.hex,
         # on random tables and at the cells' intercepts, where a bare
@@ -297,22 +308,22 @@ class TestEstimate:
         from nmqem.expdata import ProbTable
 
         inverse = {
-            ROLE_ALPHA: lambda p: p,
-            ROLE_ONE_MINUS_2A: lambda p: (1.0 - p) / 2.0,
-            ROLE_HALF: lambda p: (1.0 - 2.0 * p) / 2.0,
+            ALPHA: lambda p: p,
+            ONE_MINUS_2A: lambda p: (1.0 - p) / 2.0,
+            HALF: lambda p: (1.0 - 2.0 * p) / 2.0,
         }
         rng = random.Random(14)
         tables = [[[rng.random() for _ in range(4)] for _ in range(4)] for _ in range(200)]
         tables += [[[v] * 4 for _ in range(4)] for v in (0.0, 0.5, 1.0, 0.25)]
         for gate in ("swap", "identity"):
-            roles = classify_cells(gate)
+            cells = classify_cells(gate)
             for table in tables:
                 est = estimate_re_k(ProbTable(gate, "synthetic", table), gate)
                 want = [
-                    inverse[roles[i][j]](table[i][j])
+                    inverse[cells[i][j]](table[i][j])
                     for i in range(4)
                     for j in range(4)
-                    if roles[i][j] != ROLE_ZERO
+                    if cells[i][j] != ZERO
                 ]
                 assert [c.estimate.hex() for c in est.per_cell] == [w.hex() for w in want]
 

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from golden import regen
 from nmqem import channel
 from nmqem.channel import population_channel, predict_table
 from nmqem.gamma import BASIS_ORDER, build_gamma_basis, decompose, reconstruct
 from nmqem.linalg import CMat, identity, mat_mul
 from nmqem.recovery import (
+    _FACTORS,
     _TABLE,
+    _determinant,
     ALPHA_MAX,
     AlphaOutOfRange,
     DenominatorNearZero,
@@ -85,15 +88,16 @@ class TestClosedForms:
             assert b == pytest.approx(-alpha / (1 - 4 * alpha), rel=1e-10, abs=1e-12)
 
     def test_denominators_factorize(self):
-        from nmqem.recovery import _id_denominator, _swap_denominator
+        # the determinant over R's spectrum, bit for bit the factored products
+        # (1 - 2a)(1 - 4a)^2 and (1 - 2a)^2 (1 - 4a) that it replaced
+        for alpha in regen.sweep_alphas():
+            p, q = 1.0 - 2.0 * alpha, 1.0 - 4.0 * alpha
+            assert _determinant("swap", alpha) == p * q * q, alpha
+            assert _determinant("identity", alpha) == p * p * q, alpha
 
-        for alpha in GRID:
-            assert _swap_denominator(alpha) == pytest.approx(
-                (1 - 2 * alpha) * (1 - 4 * alpha) ** 2, abs=1e-14
-            )
-            assert _id_denominator(alpha) == pytest.approx(
-                (1 - 2 * alpha) ** 2 * (1 - 4 * alpha), abs=1e-14
-            )
+    def test_determinant_factors_are_the_spectrum(self):
+        # 2 l per nonzero eigenvalue l of R, with multiplicities tr P_1, tr P_2
+        assert _FACTORS == {"swap": (2.0, 4.0, 4.0), "identity": (2.0, 2.0, 4.0)}
 
     def test_alpha_domain(self):
         for bad in (-0.01, 0.25, 0.3):
