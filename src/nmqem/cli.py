@@ -28,7 +28,6 @@ from . import expdata, gamma, recovery
 from .channel import COMPUTATIONAL_LABELS, GATES, AlphaOutOfRange, input_labels, predict_table
 from .kernel import KernelParams, k_printed, k_quadrature, re_k_approx
 from .linalg import identity, mat_mul
-from .recovery import ALPHA_MAX
 
 EXIT_OK = 0
 EXIT_SELF_CHECK = 1
@@ -51,9 +50,11 @@ def _write(out, text: str):
 
 
 def _emit_csv(out, header, rows):
+    """One line per row; a float at 10 significant digits, None as an empty cell."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(
+            _fmt(v) if isinstance(v, float) else "" if v is None else str(v) for v in row))
     _write(out, "\n".join(lines))
 
 
@@ -168,29 +169,19 @@ def cmd_cost(args, out) -> int:
             alpha = re_k_approx(coupling, u)
             if not math.isfinite(alpha):
                 raise OverflowError(f"alpha overflows at coupling={coupling}, u={u}")
-            if alpha >= ALPHA_MAX:
-                rows.append([coupling, u, alpha, None])  # out of domain, flagged
-            else:
-                rows.append([coupling, u, alpha, cost_fn(alpha)])
+            try:
+                cost = cost_fn(alpha)
+            except (AlphaOutOfRange, recovery.DenominatorNearZero):
+                cost = None  # out of domain, flagged
+            rows.append([coupling, u, alpha, cost])
     if args.format == "json":
-        payload = []
-        for coupling, u, alpha, cost in rows:
-            payload.append(
-                {
-                    "coupling": coupling,
-                    "u": u,
-                    "alpha": alpha,
-                    "cost": cost,
-                    "in_domain": cost is not None,
-                }
-            )
+        payload = [
+            {"coupling": coupling, "u": u, "alpha": alpha, "cost": cost, "in_domain": cost is not None}
+            for coupling, u, alpha, cost in rows
+        ]
         _emit_json(out, {"gate": args.gate, "rows": payload})
     else:
-        lines = [",".join(header)]
-        for coupling, u, alpha, cost in rows:
-            tail = _fmt(cost) if cost is not None else ""
-            lines.append(f"{_fmt(coupling)},{_fmt(u)},{_fmt(alpha)},{tail}")
-        _write(out, "\n".join(lines))
+        _emit_csv(out, header, rows)
     return EXIT_OK
 
 

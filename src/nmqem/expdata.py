@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -53,13 +54,15 @@ ROLE_ZERO = "ZERO"
 
 # Published per-device ranges for Re k at the switching time, keyed by
 # (gate, normalized device label). Where the deterministic min/max over the
-# p = alpha cells disagrees with these, the report flags the divergence.
+# p = alpha cells differs from these by more than _DIVERGENCE_TOL, the report
+# flags the divergence.
 REFERENCE_RANGES: Dict[Tuple[str, str], Tuple[float, float]] = {
     ("swap", "ionq"): (6.0e-3, 1.8e-2),
     ("swap", "ibm_guadalupe"): (1.5e-2, 5.6e-2),
     ("identity", "ionq"): (2.0e-3, 2.4e-2),
     ("identity", "ibm_guadalupe"): (6.0e-3, 2.8e-2),
 }
+_DIVERGENCE_TOL = 5e-4
 
 
 class ParseError(ValueError):
@@ -178,10 +181,11 @@ def load_counts(source) -> CountTable:
                         f"run {label!r}: count for {outcome} must be a nonnegative integer"
                     )
             else:
+                # an int compares exactly: one past the largest float is not finite
                 if (
                     not isinstance(value, (int, float))
                     or isinstance(value, bool)
-                    or not 0.0 <= value < math.inf
+                    or not 0.0 <= value <= sys.float_info.max
                 ):
                     raise SchemaError(
                         f"run {label!r}: probability for {outcome} must be a finite nonnegative number"
@@ -192,8 +196,10 @@ def load_counts(source) -> CountTable:
         total = sum(weights.values())
         if kind == "counts" and total > shots:
             raise SchemaError(f"run {label!r}: counts sum {total} exceeds shots {shots}")
-        if kind == "probs" and abs(total - 1.0) > 0.02:
-            raise SchemaError(f"run {label!r}: probabilities sum to {total}")
+        # total - 1: an int total stays an exact int; a float one may round to inf
+        if kind == "probs" and abs(total - 1) > 0.02:
+            shown = total if total < math.inf else "more than the largest float"
+            raise SchemaError(f"run {label!r}: probabilities sum to {shown}")
         runs[label] = weights
     missing = expected_inputs - set(runs)
     if missing:
@@ -300,7 +306,7 @@ def reference_range(gate: str, device: str) -> Optional[Tuple[float, float]]:
     return REFERENCE_RANGES.get((gate, _normalize_device(device)))
 
 
-def divergence_flags(est: RekEstimate, gate: str, device: str, tol: float = 5e-4):
+def divergence_flags(est: RekEstimate, gate: str, device: str):
     """Compare the deterministic min/max to the published reference range.
 
     Returns (reference_range, flags) where flags lists human-readable
@@ -311,11 +317,11 @@ def divergence_flags(est: RekEstimate, gate: str, device: str, tol: float = 5e-4
         return None
     lo, hi = ref
     flags = []
-    if abs(est.min - lo) > tol:
+    if abs(est.min - lo) > _DIVERGENCE_TOL:
         flags.append(
             f"alpha-cell minimum {est.min:.4f} differs from published lower bound {lo:.4f}"
         )
-    if abs(est.max - hi) > tol:
+    if abs(est.max - hi) > _DIVERGENCE_TOL:
         flags.append(
             f"alpha-cell maximum {est.max:.4f} differs from published upper bound {hi:.4f}"
         )

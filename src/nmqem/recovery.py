@@ -15,21 +15,22 @@ quadruple per entry and weight, the layout ``_resolvent`` reads.
 ``recovery_op`` evaluates the form in one pass over the columns; grouped by
 powers of alpha, entries of order alpha^2 keep their relative precision. It
 inverts nothing and takes no traces. It computes the channel determinant,
-V's eigenvalues 1 - 2 l alpha multiplied over the table's spectrum, once and
-takes its closed-form record, the coefficients (B, C, D, E) or (F, G, H) in
-their factored forms over 1 - 2 alpha and 1 - 4 alpha, from ``_coefficients``
-without calling ``closed_form_*``; the printed costs use the same forms.
+V's eigenvalues 1 - 2 l alpha multiplied over the table's spectrum, once, and
+reads its closed-form record, the coefficients (B, C, D, E) or (F, G, H), off
+the entries it computes, at their row-major positions in ``_RECORD``, as
+``closed_form_*`` do.
 
 Independent oracles, which the tests compare with the spectral route:
 ``recovery_numeric`` (LU inverse of the channel matrix),
 ``swap_recovery_matrix`` / ``id_recovery_matrix`` (matrices assembled from the
 closed-form coefficients) and ``gamma.decompose`` (trace formula).
 
-Costs come in two flavours:
+Costs come in two kinds:
 
 * ``cost_swap`` / ``cost_id`` -- the printed absolute-value combinations of
-  the closed-form coefficients (the canonical contract; the identity one
-  simplifies to 1/(1-4a) on the whole domain).
+  the closed-form coefficients (the canonical contract), returned in their
+  reduced forms on the domain: (1 - 2a^2)/((1 - 2a)(1 - 4a)) for SWAP and
+  1/(1 - 4a) for Identity. They read no record.
 * ``cost_from_decomposition`` -- sum of absolute Gamma expansion weights of
   the recovery matrix, equal to ||V^-1||_1->1 and so the optimal cost. For
   the identity gate this equals ``cost_id``; for SWAP it is smaller than the
@@ -144,31 +145,28 @@ def _determinant(gate: str, alpha: float) -> float:
     return den
 
 
-def _coefficients(alpha: float) -> Tuple[float, float, float, float]:
-    # Every coefficient factors over p = 1 - 2a and q = 1 - 4a:
-    # B = -a/q, C = (1 - 4a + 2a^2)/(pq), D = 2a^2/(pq), E = (1 - a)/q.
-    # Unlike the expanded cubics over the determinant, these keep full
-    # relative precision as alpha -> 1/4.
-    p = 1.0 - 2.0 * alpha
-    q = 1.0 - 4.0 * alpha
-    a2 = alpha * alpha
-    return -alpha / q, (q + 2.0 * a2) / (p * q), 2.0 * a2 / (p * q), (1.0 - alpha) / q
+# Each gate's closed-form record: its names and their row-major positions in V^-1.
+_RECORD = {"swap": (("B", 1), ("C", 0), ("D", 2), ("E", 5)),
+           "identity": (("F", 0), ("G", 3), ("H", 1))}
+
+
+def _closed_form(gate: str, alpha: float) -> tuple:
+    """The gate's record in ``_RECORD``'s order, the entries recovery_op reads."""
+    _check_alpha(alpha)
+    _check_denominator(_determinant(gate, alpha), alpha)
+    columns = _TABLE[gate][1]
+    return tuple(_resolvent([columns[k] for _, k in _RECORD[gate]], alpha))
 
 
 def closed_form_swap(alpha: float) -> Tuple[float, float, float, float]:
     """Coefficients (B, C, D, E) of the SWAP recovery matrix."""
-    _check_alpha(alpha)
-    _check_denominator(_determinant("swap", alpha), alpha)
-    return _coefficients(alpha)
+    return _closed_form("swap", alpha)
 
 
 def closed_form_id(alpha: float) -> Tuple[float, float, float]:
     """Coefficients (F, G, H) of the Identity recovery matrix; they equal
     (C, D, B) of the SWAP gate."""
-    _check_alpha(alpha)
-    _check_denominator(_determinant("identity", alpha), alpha)
-    b, c, d, _ = _coefficients(alpha)
-    return c, d, b
+    return _closed_form("identity", alpha)
 
 
 def swap_recovery_matrix(alpha: float) -> CMat:
@@ -218,16 +216,20 @@ def recovery_numeric(ch: Channel) -> CMat:
 
 
 def cost_swap(alpha: float) -> float:
-    """Mitigation cost |C+E|/2 + |C-E|/2 + 3|B| + |D| for the SWAP gate."""
-    b, c, d, e = closed_form_swap(alpha)
-    return 0.5 * abs(c + e) + 0.5 * abs(c - e) + 3.0 * abs(b) + abs(d)
+    """Mitigation cost |C+E|/2 + |C-E|/2 + 3|B| + |D| for the SWAP gate. On
+    [0, 1/4), C - E = -a/((1-2a)(1-4a)) <= 0, B <= 0 and D >= 0, so it is
+    E - 3B + D = (1 - 2a^2)/((1-2a)(1-4a))."""
+    _check_alpha(alpha)
+    _check_denominator(_determinant("swap", alpha), alpha)
+    return (1.0 - 2.0 * alpha * alpha) / ((1.0 - 2.0 * alpha) * (1.0 - 4.0 * alpha))
 
 
 def cost_id(alpha: float) -> float:
     """Mitigation cost |F| + |G| + 2|H| for the Identity gate; equals
     1/(1-4a) on the whole domain."""
-    f, g, h = closed_form_id(alpha)
-    return abs(f) + abs(g) + 2.0 * abs(h)
+    _check_alpha(alpha)
+    _check_denominator(_determinant("identity", alpha), alpha)
+    return 1.0 / (1.0 - 4.0 * alpha)
 
 
 class RecoveryOp:
@@ -254,10 +256,9 @@ def recovery_op(gate: str, alpha: float) -> RecoveryOp:
     den = _determinant(gate, alpha)
     _warn_if_nearly_singular(den, alpha)
     _check_denominator(den, alpha)
-    b, c, d, e = _coefficients(alpha)
-    coeffs = {"B": b, "C": c, "D": d, "E": e} if gate == "swap" else {"F": c, "G": d, "H": b}
     labels, columns = table
     values = _resolvent(columns, alpha)
+    coeffs = {name: values[k] for name, k in _RECORD[gate]}
     matrix = CMat(4, 4, values[:16])
     weights = _ZERO_WEIGHTS.copy()
     weights.update(zip(labels, values[16:]))

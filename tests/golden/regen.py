@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 tests/golden/regen.py
 
 Run it only on purpose: the diff it leaves in ``tests/golden/`` is the list
-of output changes a commit makes, byte for byte and bit for bit.
+of output changes a commit makes, byte for byte and bit for bit. It prints
+the key of each CLI case and digest block whose content changed, one per
+line, as "changed <key>", "added <key>" or "removed <key>".
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ PARSER_ARGV = {
     "estimate-bad-gate": ["estimate", "--counts", "{fixtures}/table3_ibm_swap.json", "--gate", "cnot"],
     "decompose-bad-gate": ["decompose", "--gate", "cnot", "--alpha", "0.05"],
 }
+# cost couplings whose u = 1 row has alpha = 0.2499999999, inside the
+# determinant guard below 1/4, and alpha = 0.250000025, past 1/4: either row
+# is flagged out of domain
+COST_EDGE_COUPLINGS = {"guard": "0.18963674817283932", "past": "0.18963676721236886"}
 
 
 def cli_cases() -> dict:
@@ -89,6 +95,12 @@ def cli_cases() -> dict:
     for kind, (argv, _) in BOUNDARY_CASES.items():
         cases[f"boundary-{kind}"] = list(argv)
     cases.update(PARSER_ARGV)
+    for name, coupling in COST_EDGE_COUPLINGS.items():
+        for gate in channel.GATES:
+            for fmt in ("csv", "json"):
+                cases[f"cost-{name}-{gate}-{fmt}"] = [
+                    "cost", "--gate", gate, "--coupling", coupling, "--u-max", "1", "--steps", "2",
+                    "--format", fmt]
     cases["kernel-coupling-negative-zero"] = ["kernel", "--coupling", "-0", "--steps", "2"]
     return cases
 
@@ -314,13 +326,27 @@ def sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def changed_keys(old: dict, new: dict) -> list:
+    """"<status> <key>" for each entry that differs between two versions of
+    the corpus: changed, added or removed."""
+    return [f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
+            for key in {**old, **new} if old.get(key) != new.get(key)]
+
+
 def regenerate():
+    """Rewrite both files and print the key of each CLI case and digest block
+    whose content changed."""
+    old_cli = load_cli(CLI_PATH.read_text()) if CLI_PATH.exists() else {}
+    old_digest = json.loads(DIGEST_PATH.read_text()) if DIGEST_PATH.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         write_case_files(tmp)
-        CLI_PATH.write_text(dump_cli({key: run_case(argv, tmp) for key, argv in cli_cases().items()}))
+        cli = {key: run_case(argv, tmp) for key, argv in cli_cases().items()}
+    CLI_PATH.write_text(dump_cli(cli))
     digest = {name: {"sha256": sha256(lines), "hex": lines} for name, lines in digest_blocks().items()}
     digest.update((name, {"sha256": sha256(lines)}) for name, lines in hashed_blocks().items())
     DIGEST_PATH.write_text(json.dumps(digest, indent=1) + "\n")
+    for line in changed_keys(old_cli, cli) + changed_keys(old_digest, digest):
+        print(line)
 
 
 if __name__ == "__main__":

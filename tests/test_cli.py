@@ -218,6 +218,21 @@ class TestCost:
         assert payload["rows"][-1]["in_domain"] is False
         assert payload["rows"][-1]["cost"] is None
 
+    # u = 1 rows at alpha = 0.2499999999, inside the determinant guard below
+    # 1/4, and at alpha = 0.250000025, past 1/4
+    @pytest.mark.parametrize("coupling", ["0.18963674817283932", "0.18963676721236886"])
+    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    def test_row_at_the_singularity_is_flagged(self, gate, coupling, capsys):
+        argv = ["cost", "--gate", gate, "--coupling", coupling, "--u-max", "1", "--steps", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith(",")
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        row = json.loads(out)["rows"][-1]
+        assert row["alpha"] >= 0.2499999999
+        assert row["cost"] is None and row["in_domain"] is False
+
 
 class TestZeroCoupling:
     """At zero coupling alpha and Re k are exactly 0 at every u, also where
@@ -322,6 +337,14 @@ class TestEstimate:
         bad.write_text("{not json")
         code, _, _ = run_cli(["estimate", "--counts", str(bad)], capsys)
         assert code == 3
+
+    def test_huge_integer_probability_is_a_data_error(self, capsys, tmp_path):
+        # json reads a 401-digit literal as an int, which no float holds
+        path = tmp_path / "huge.json"
+        path.write_text(_probs_document(10 ** 400))
+        code, out, err = run_cli(["estimate", "--counts", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: run 'm1': probability for 01 must be a finite nonnegative number\n"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["estimate", "--counts", SWAP_IBM], capsys)

@@ -1,13 +1,16 @@
 """Property tests over the numeric argv of ``kernel``, ``cost``, ``predict``
-and ``decompose``.
+and ``decompose``, and over the documents ``estimate`` reads.
 
 For any values of the float flags, extremes included, a small ``--steps`` and
 any ``--gate``, ``main`` never raises, returns only 0, 2 or 3, never prints a
-non-finite number and leaves no ``--out`` file after a failure.
+non-finite number and leaves no ``--out`` file after a failure. For any
+counts or probs document, ``estimate`` returns only 0 or 3 under the same
+checks.
 """
 
 import contextlib
 import io
+import json
 import math
 import re
 
@@ -18,7 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from nmqem.channel import input_labels  # noqa: E402
 from nmqem.cli import main  # noqa: E402
+from nmqem.expdata import OUTCOMES  # noqa: E402
 
 EXTREMES = (
     0.0, -0.0, 5e-324, 1e-308, 1e-300, 1e-10, 0.5, 1.0, 10.0, 1e3, 1e10, 1e150,
@@ -66,14 +71,74 @@ def alpha_argvs(draw):
     return argv, draw(st.booleans())
 
 
+# a document cell: extreme, boolean, NaN, huge-integer and ill-typed values
+CELLS = (
+    10 ** 400, int(1.7976931348623157e308) + 1, 10 ** 308, 2 ** 53 + 1, -1, 0, 1, True, False,
+    0.0, -0.0, 5e-324, 0.5, 1.0, 1e308, math.inf, -math.inf, math.nan, None, "0.5",
+)
+
+
+def cell_values():
+    return st.one_of(st.sampled_from(CELLS), st.integers(), st.floats())
+
+
+@st.composite
+def outcome_tables(draw, kind):
+    """A valid table of its kind, or one whose total is zero, sometimes with
+    its zero cells left out, which then read as 0."""
+    weights = draw(st.lists(st.integers(0, 250), min_size=4, max_size=4))
+    total = sum(weights)
+    if kind == "probs":
+        weights = [w / total if total else 0.0 for w in weights]
+    table = dict(zip(OUTCOMES, weights))
+    if draw(st.booleans()):
+        table = {o: w for o, w in table.items() if w}
+    return table
+
+
+@st.composite
+def estimate_cases(draw):
+    """(document text, argv without --counts, with --out): a valid document
+    of counts, of probs or of both kinds mixed, and then a few of its cells
+    and its shots maybe replaced by arbitrary values."""
+    gate = draw(st.sampled_from(("swap", "identity")))
+    kind = draw(st.sampled_from(("counts", "probs", "mixed")))
+    runs, tables = [], []
+    for label in input_labels(gate):
+        run_kind = draw(st.sampled_from(("counts", "probs"))) if kind == "mixed" else kind
+        tables.append(draw(outcome_tables(run_kind)))
+        runs.append({"input": label, run_kind: tables[-1]})
+    for i, outcome, value in draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(OUTCOMES),
+                                                     cell_values()), max_size=3)):
+        tables[i][outcome] = value
+    shots = 1000
+    if draw(st.booleans()):
+        shots = draw(st.one_of(st.sampled_from((1, 0, 10 ** 400, True, 1000.0)), st.integers()))
+    device = draw(st.sampled_from(("IonQ", "ibm_guadalupe", "x")))
+    document = json.dumps({"gate": gate, "device": device, "shots": shots, "runs": runs})
+    argv = ["estimate"]
+    if draw(st.booleans()):
+        argv += ["--gate", draw(st.sampled_from(("swap", "identity")))]
+    argv += ["--format", draw(st.sampled_from(("csv", "json", "table")))]
+    return document, argv, draw(st.booleans())
+
+
+def _identity_probs(outcome, value):
+    """An Identity probs document with one cell of its first run set."""
+    runs = [{"input": label, "probs": {label: 1.0}} for label in input_labels("identity")]
+    runs[0]["probs"][outcome] = value
+    return json.dumps({"gate": "identity", "device": "x", "shots": 1000, "runs": runs})
+
+
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("property")
 
 
-def run_cleanly(out_dir, case):
-    """Run one argv, check its exit code and that a failure prints nothing
-    and leaves no --out file; return stdout, stderr and the written file."""
+def run_cleanly(out_dir, case, codes=(0, 2, 3)):
+    """Run one argv, check that its exit code is one of ``codes`` and that a
+    failure prints nothing and leaves no --out file; return stdout, stderr
+    and the written file."""
     argv, with_out = case
     target = out_dir / "out.txt"
     if with_out:
@@ -81,7 +146,7 @@ def run_cleanly(out_dir, case):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3), (argv, code)
+    assert code in codes, (argv, code)
     written = ""
     if with_out and code == 0:
         written = target.read_text()
@@ -117,3 +182,18 @@ def test_alpha_argv_exit_cleanly(out_dir, case):
     out, _, written = run_cleanly(out_dir, case)
     for text in (out, written):
         assert not NON_FINITE.search(text), (case, text[:200])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=estimate_cases())
+# a probability written as a 401-digit integer, which no float holds, and a
+# run whose total is zero
+@example(case=(_identity_probs("01", 10 ** 400), ["estimate"], True))
+@example(case=(_identity_probs("00", 0.0), ["estimate", "--format", "csv"], False))
+def test_estimate_documents_exit_cleanly(out_dir, case):
+    document, argv, with_out = case
+    path = out_dir / "document.json"
+    path.write_text(document)
+    out, err, written = run_cleanly(out_dir, (argv + ["--counts", str(path)], with_out), (0, 3))
+    for text in (out, err, written):
+        assert not NON_FINITE.search(text), (document[:200], text[:200])

@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib.resources import files
 
 import pytest
@@ -149,6 +150,34 @@ class TestLoadCounts:
         assert ct.kind == "probs"
         doc["runs"][0]["probs"]["00"] = 0.5
         with pytest.raises(SchemaError, match="sum"):
+            load_counts(json.dumps(doc))
+
+    def probs_doc(self, value):
+        doc = self.base_doc()
+        for run in doc["runs"]:
+            run["probs"] = {"00": 0.0, run["input"]: 1.0}
+            del run["counts"]
+        doc["runs"][0]["probs"]["01"] = value
+        return json.dumps(doc)
+
+    def test_huge_integer_probability(self):
+        # json reads these literals as ints; the first rounds to the largest
+        # float but exceeds it, the second does not convert to a float at all
+        for value in (int(sys.float_info.max) + 1, 10 ** 400):
+            with pytest.raises(SchemaError, match="must be a finite nonnegative number"):
+                load_counts(self.probs_doc(value))
+
+    def test_integer_probabilities_summing_past_the_largest_float(self):
+        # each is a finite float, and their int sum is compared exactly
+        doc = json.loads(self.probs_doc(10 ** 308))
+        doc["runs"][0]["probs"]["10"] = 10 ** 308
+        with pytest.raises(SchemaError, match="sum to"):
+            load_counts(json.dumps(doc))
+
+    def test_float_probabilities_summing_past_the_largest_float(self):
+        doc = json.loads(self.probs_doc(1e308))
+        doc["runs"][0]["probs"]["10"] = 1e308
+        with pytest.raises(SchemaError, match="sum to more than the largest float$"):
             load_counts(json.dumps(doc))
 
     def test_mixed_counts_and_probs(self):

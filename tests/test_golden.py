@@ -51,3 +51,8 @@ def test_digest(name, blocks):
             assert got == want, f"{name} line {i} changed"
         assert len(lines) == len(stored["hex"])
     assert regen.sha256(lines) == stored["sha256"]
+
+
+def test_changed_keys_names_each_difference():
+    old, new = {"a": 1, "b": 2, "c": 3}, {"a": 1, "b": 4, "d": 5}
+    assert regen.changed_keys(old, new) == ["changed b", "removed c", "added d"]

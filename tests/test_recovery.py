@@ -28,7 +28,10 @@ from nmqem.recovery import (
     swap_recovery_matrix,
 )
 
+GATES = ("swap", "identity")
 GRID = [i * 0.01 for i in range(25)]  # 0.00 .. 0.24
+# 1/4 - 10^-2 ... 1/4 - 10^-4 in quarter decades, and one more point
+APPROACH = [0.25 - 10.0 ** (-k / 4) for k in range(8, 17)] + [0.24989059404470026]
 
 # channel matrices as affine functions of alpha: matrix[out][in] = a + b*alpha
 CHANNELS = {
@@ -112,8 +115,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("gate", ["swap", "identity"])
     def test_against_exact_inverse_near_quarter(self, gate):
         closed = swap_recovery_matrix if gate == "swap" else id_recovery_matrix
-        near = [0.25 - 10.0 ** (-k / 4) for k in range(8, 17)] + [0.24989059404470026]
-        for alpha in GRID + near:
+        for alpha in GRID + APPROACH:
             exact = exact_inverse(gate, alpha)
             scale = max(abs(float(x)) for row in exact for x in row)
             got = closed(alpha)
@@ -125,6 +127,105 @@ class TestClosedForms:
         # close enough to the 1/4 root that the cubic falls below the guard
         with pytest.raises(DenominatorNearZero):
             closed_form_id(0.25 - 1e-11)
+
+
+# The closed-form record's entries of V^-1, (row, column), written here apart
+# from the package's table of positions.
+RECORD_ENTRIES = {
+    "swap": {"B": (0, 1), "C": (0, 0), "D": (0, 2), "E": (1, 1)},
+    "identity": {"F": (0, 0), "G": (0, 3), "H": (0, 1)},
+}
+
+
+def exact_record(gate, alpha):
+    """The record's entries of the exact inverse."""
+    exact = exact_inverse(gate, alpha)
+    return {name: exact[i][j] for name, (i, j) in RECORD_ENTRIES[gate].items()}
+
+
+def factored_record(gate, alpha):
+    """The record's factored forms over p = 1 - 2a and q = 1 - 4a, in
+    rationals at the exact value of the float alpha."""
+    a = Fraction(alpha)
+    p, q = 1 - 2 * a, 1 - 4 * a
+    b, c, d, e = -a / q, (q + 2 * a * a) / (p * q), 2 * a * a / (p * q), (1 - a) / q
+    return {"B": b, "C": c, "D": d, "E": e} if gate == "swap" else {"F": c, "G": d, "H": b}
+
+
+def printed_combination(gate, r):
+    """The printed cost of an exact record."""
+    if gate == "swap":
+        return abs(r["C"] + r["E"]) / 2 + abs(r["C"] - r["E"]) / 2 + 3 * abs(r["B"]) + abs(r["D"])
+    return abs(r["F"]) + abs(r["G"]) + 2 * abs(r["H"])
+
+
+def exact_cost(gate, alpha):
+    """The printed cost's reduced closed form, in rationals."""
+    a = Fraction(alpha)
+    return (1 - 2 * a * a) / ((1 - 2 * a) * (1 - 4 * a)) if gate == "swap" else 1 / (1 - 4 * a)
+
+
+def in_domain(alphas, fn):
+    """The alphas at which fn neither refuses alpha nor trips the guard."""
+    kept = []
+    for alpha in alphas:
+        try:
+            fn(alpha)
+        except (AlphaOutOfRange, DenominatorNearZero):
+            continue
+        kept.append(alpha)
+    return kept
+
+
+@pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
+class TestClosedFormRecord:
+    """The record and the printed costs against exact rationals: the record
+    is read off the spectral V^-1, the costs are their reduced forms."""
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_factored_forms_are_the_exact_inverse(self, gate):
+        for alpha in GRID + APPROACH:
+            assert exact_record(gate, alpha) == factored_record(gate, alpha), alpha
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_record_against_exact_inverse(self, gate):
+        closed = closed_form_swap if gate == "swap" else closed_form_id
+        for alpha in GRID + APPROACH:
+            scale = max(abs(x) for row in exact_inverse(gate, alpha) for x in row)
+            want = exact_record(gate, alpha)
+            op = recovery_op(gate, alpha)
+            assert list(op.coeffs) == list(want)
+            for got in (dict(zip(want, closed(alpha))), op.coeffs):
+                for name, value in got.items():
+                    assert abs(Fraction(value) - want[name]) <= Fraction(1e-13) * scale, (alpha, name)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_record_is_the_matrix_entries(self, gate):
+        closed = closed_form_swap if gate == "swap" else closed_form_id
+        for alpha in in_domain(regen.sweep_alphas(), closed):
+            op = recovery_op(gate, alpha)
+            for name, (i, j) in RECORD_ENTRIES[gate].items():
+                entry = op.matrix.at(i, j)
+                assert type(op.coeffs[name]) is float and entry.imag == 0.0
+                assert op.coeffs[name].hex() == entry.real.hex(), (alpha, name)
+            assert closed(alpha) == tuple(op.coeffs.values()), alpha
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_costs_against_exact_rationals(self, gate):
+        cost = cost_swap if gate == "swap" else cost_id
+        alphas = in_domain(regen.sweep_alphas(), cost)
+        assert len(alphas) > 4200
+        for alpha in alphas:
+            want = exact_cost(gate, alpha)
+            assert abs(Fraction(cost(alpha)) - want) <= Fraction(1e-15) * want, alpha
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_exact_costs_are_the_printed_combinations(self, gate):
+        cost = cost_swap if gate == "swap" else cost_id
+        for alpha in in_domain(regen.sweep_alphas(), cost):
+            assert printed_combination(gate, factored_record(gate, alpha)) == exact_cost(gate, alpha)
+        for alpha in GRID + APPROACH:
+            assert printed_combination(gate, exact_record(gate, alpha)) == exact_cost(gate, alpha), alpha
 
 
 class TestNumericInverse:
@@ -319,7 +420,6 @@ def exact_rows(gate):
     }
 
 
-GATES = ("swap", "identity")
 # forward's near-1/4 slices (perfbench/workloads.py _NEAR_QUARTER)
 NEAR_QUARTER = {"swap": (0.2466, 0.2499), "identity": (0.24991, 0.249995)}
 
