@@ -25,14 +25,15 @@ unchanged. A row whose one weight is 1.0 is the channel row as is, because
 no channel entry is -0.0.
 
 Channel matrices are column stochastic: column c is the output population
-distribution for pure input state c.
+distribution for pure input state c. ``NmqemError``, defined here, is the base
+of the errors the command line reports.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .linalg import CMat
 
@@ -40,6 +41,7 @@ __all__ = [
     "Basis4",
     "MTensor",
     "Channel",
+    "NmqemError",
     "AlphaOutOfRange",
     "NotNormalized",
     "multiplet_basis",
@@ -56,7 +58,12 @@ COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 MULTIPLET_LABELS = ("m1", "m2", "m3", "m4")
 
 
-class AlphaOutOfRange(ValueError):
+class NmqemError(ValueError):
+    """An error the command line reports as one ``error:`` line: a bad input
+    document (``expdata.DataError``), a bad argument or a value out of domain."""
+
+
+class AlphaOutOfRange(NmqemError):
     """alpha outside the validity domain of the requested operation."""
 
 
@@ -74,26 +81,19 @@ def _norms(vectors) -> Tuple[int, ...]:
 
 
 class Basis4:
-    """An orthonormal two-qubit basis over {|00>, |01>, |10>, |11>}.
-
-    Give either the float amplitudes ``vectors`` or ``integer_vectors``,
-    integer vectors x with entries in {0, +-1, +-i} whose states are
-    x / sqrt|x|^2. The float amplitudes are then derived from them, and
-    ``m_tensor`` works from them without rounding.
+    """An orthonormal two-qubit basis over {|00>, |01>, |10>, |11>}, given
+    by integer vectors x with entries in {0, +-1, +-i} whose states are
+    x / sqrt|x|^2. The float amplitudes ``vectors`` are derived from them,
+    and ``m_tensor`` works from the integer vectors without rounding.
     """
 
     __slots__ = ("name", "vectors", "integer_vectors")
 
-    def __init__(self, name: str, vectors: Optional[Tuple[Tuple[complex, ...], ...]] = None,
-                 integer_vectors: Optional[Tuple[Tuple[complex, ...], ...]] = None):
-        if integer_vectors is not None:
-            if vectors is not None:
-                raise ValueError("give float or integer vectors, not both")
-            norms = _norms(integer_vectors)
-            vectors = tuple(tuple(x / math.sqrt(n) for x in v)
-                            for v, n in zip(integer_vectors, norms))
-        if vectors is None or len(vectors) != 4 or any(len(v) != 4 for v in vectors):
+    def __init__(self, name: str, integer_vectors: Tuple[Tuple[complex, ...], ...]):
+        if len(integer_vectors) != 4 or any(len(v) != 4 for v in integer_vectors):
             raise ValueError("need four amplitude 4-vectors")
+        vectors = tuple(tuple(x / math.sqrt(n) for x in v)
+                        for v, n in zip(integer_vectors, _norms(integer_vectors)))
         for i in range(4):
             for j in range(4):
                 g = sum(vectors[i][p].conjugate() * vectors[j][p] for p in range(4))
@@ -208,8 +208,6 @@ def m_tensor(basis: Basis4) -> MTensor:
     """Pairwise Pauli matrix elements of a basis, M_abcd =
     (1/4) sum_sigma <a|sigma|b><c|sigma|d>, from its integer vectors."""
     vectors = basis.integer_vectors
-    if vectors is None:
-        raise ValueError(f"basis {basis.name!r} carries no integer amplitudes")
     elem = _pauli_elements(vectors)
     n = _norms(vectors)
     return MTensor(tuple(tuple(tuple(tuple(
@@ -290,11 +288,8 @@ def population_channel(gate: str, alpha: float) -> Channel:
 def _weights(basis: Basis4):
     """|<beta|a>|^2 for basis state a and computational state beta, indexed
     [beta][a]. From integer vectors x it is |x_a[beta]|^2 / |x_a|^2, rounded
-    once, so that (1/sqrt2)^2 is 1/2 and not 0.4999999999999999; a basis
-    given by float amplitudes alone squares them."""
+    once, so that (1/sqrt2)^2 is 1/2 and not 0.4999999999999999."""
     vectors = basis.integer_vectors
-    if vectors is None:
-        return tuple(tuple(abs(v[beta]) ** 2 for v in basis.vectors) for beta in range(4))
     n = _norms(vectors)
     return tuple(tuple(_abs2(vectors[a][beta]) / n[a] for a in range(4)) for beta in range(4))
 

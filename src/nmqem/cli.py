@@ -9,9 +9,10 @@ Subcommands::
     estimate      Re k estimation report from a device counts file
     decompose     Gamma expansion of a recovery operator
 
-Exit codes: 0 success, 1 algebra self-check failure, 2 usage error,
-3 data error. All output is deterministic; numbers are printed with 10
-significant digits.
+Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
+1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
+3 an ``expdata.DataError`` or an ``OSError``. Any other exception is a bug and
+propagates. All output is deterministic; numbers have 10 significant digits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import warnings
 
 from . import expdata, gamma, recovery
-from .channel import COMPUTATIONAL_LABELS, GATES, AlphaOutOfRange, input_labels, predict_table
+from .channel import COMPUTATIONAL_LABELS, GATES, NmqemError, input_labels, predict_table
 from .kernel import KernelParams, k_printed, k_quadrature, re_k_approx
 from .linalg import identity, mat_mul
 
@@ -115,7 +116,7 @@ def cmd_gamma_check(args, out) -> int:
 def _u_grid(u_max: float, steps: int):
     grid = [u_max * i / (steps - 1) for i in range(steps)]
     if not math.isfinite(grid[-1]):  # u_max * (steps - 1) overflows
-        raise OverflowError(f"the u grid overflows at --u-max {u_max} with --steps {steps}")
+        raise NmqemError(f"the u grid overflows at --u-max {u_max} with --steps {steps}")
     return grid
 
 
@@ -130,7 +131,7 @@ def cmd_kernel(args, out) -> int:
                 rows.append([coupling, u, re_k_approx(coupling, u)])
             else:
                 if not math.isfinite(args.wc_ts * u):
-                    raise OverflowError(f"wc_ts * u overflows at wc_ts={args.wc_ts}, u={u}")
+                    raise NmqemError(f"wc_ts * u overflows at wc_ts={args.wc_ts}, u={u}")
                 params = KernelParams(
                     gamma0=coupling / args.wc_ts if args.gamma0 is None else args.gamma0,
                     delta0=args.delta0,
@@ -143,7 +144,7 @@ def cmd_kernel(args, out) -> int:
                 rows.append(row)
     for row in rows:
         if not all(math.isfinite(v) for v in row[2:]):
-            raise OverflowError(f"k overflows at coupling={row[0]}, u={row[1]}")
+            raise NmqemError(f"k overflows at coupling={row[0]}, u={row[1]}")
     if args.format == "json":
         _emit_json(
             out,
@@ -168,10 +169,10 @@ def cmd_cost(args, out) -> int:
         for u in _u_grid(args.u_max, args.steps):
             alpha = re_k_approx(coupling, u)
             if not math.isfinite(alpha):
-                raise OverflowError(f"alpha overflows at coupling={coupling}, u={u}")
+                raise NmqemError(f"alpha overflows at coupling={coupling}, u={u}")
             try:
                 cost = cost_fn(alpha)
-            except (AlphaOutOfRange, recovery.DenominatorNearZero):
+            except (recovery.AlphaOutOfRange, recovery.DenominatorNearZero):
                 cost = None  # out of domain, flagged
             rows.append([coupling, u, alpha, cost])
     if args.format == "json":
@@ -320,7 +321,9 @@ def cmd_decompose(args, out) -> int:
         "cost_from_decomposition": decomposition_cost,
         "cost_closed_form": printed_cost,
     }
-    if abs(decomposition_cost - printed_cost) > 1e-9:
+    # relative: for Identity the two are equal in exact arithmetic, and near
+    # 1/4, where the costs pass 1e7, they may still differ in the last ulp
+    if abs(decomposition_cost - printed_cost) > 1e-9 * max(1.0, printed_cost):
         report["note"] = (
             "decomposition cost differs from the closed-form combination for "
             "this gate; both values are reported"
@@ -372,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, help_text, func, default_format):
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        p.add_argument("--format", choices=("csv", "json", "table"), default=None)
+        p.add_argument("--format", choices=("csv", "json", "table"), default=default_format)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(func=func, default_format=default_format)
+        p.set_defaults(func=func)
         return p
 
     add_parser("gamma-check", "verify the 16-matrix algebra", cmd_gamma_check, "table")
@@ -410,23 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(args):
-    """Usage-level validation beyond argparse; the message, or None."""
+def _check_usage(args):
+    """Usage-level validation beyond argparse; raises NmqemError."""
     if args.command in ("kernel", "cost"):
         if not (0.0 < args.u_max < math.inf) or args.steps < 2:
-            return "--u-max must be finite and > 0 and --steps >= 2"
+            raise NmqemError("--u-max must be finite and > 0 and --steps >= 2")
     if args.command == "kernel":
         if not 0.0 < args.wc_ts < math.inf:
-            return "--wc-ts must be finite and > 0"
+            raise NmqemError("--wc-ts must be finite and > 0")
         if not 0.0 <= args.delta0 < math.inf:
-            return "--delta0 must be finite and >= 0"
+            raise NmqemError("--delta0 must be finite and >= 0")
         if args.gamma0 is not None and not 0.0 <= args.gamma0 < math.inf:
-            return "--gamma0 must be finite and >= 0"
+            raise NmqemError("--gamma0 must be finite and >= 0")
         if not all(c < math.inf for c in args.coupling):
-            return "--gamma0 * --wc-ts (the coupling) must be finite"
+            raise NmqemError("--gamma0 * --wc-ts (the coupling) must be finite")
         if args.mode != "approx" and not all(c / args.wc_ts < math.inf for c in args.coupling):
-            return "--coupling / --wc-ts (gamma0) must be finite"
-    return None
+            raise NmqemError("--coupling / --wc-ts (gamma0) must be finite")
 
 
 def _is_number(token: str) -> bool:
@@ -455,27 +457,21 @@ def _join_negative_values(argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_values(argv))
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.format is None:
-        args.format = args.default_format
 
     if args.command == "kernel" and args.gamma0 is not None:
         args.coupling = [args.gamma0 * args.wc_ts]
-    error = _usage_error(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
 
     # Output is buffered so that a failing command prints nothing and leaves
     # no --out file behind. Warnings are reported as one line each once the
-    # command has succeeded; a failure reports only its error.
+    # command has succeeded; a failure reports only its error, and its class
+    # alone picks the exit code.
     buffer = io.StringIO()
     try:
+        _check_usage(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             code = args.func(args, buffer)
@@ -487,12 +483,9 @@ def main(argv=None) -> int:
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         return code
-    except (AlphaOutOfRange, recovery.DenominatorNearZero, OverflowError) as exc:
+    except (NmqemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (expdata.ParseError, expdata.SchemaError, expdata.EmptyRun, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_DATA if isinstance(exc, (expdata.DataError, OSError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,9 @@ nonzero slope for alpha. The reported min/max range over the p = alpha cells
 reproduces the published per-device estimates; the least-squares estimate
 over all cells is an extension beyond those ranges so a single alpha can
 drive the coupling fit reproducibly.
+
+A document that cannot be read raises a ``DataError``: ``ParseError``,
+``SchemaError`` or ``EmptyRun``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .channel import GATES, input_labels, predict_table
+from .channel import GATES, NmqemError, input_labels, predict_table
 from .kernel import re_k_approx
 
 __all__ = [
+    "DataError",
     "ParseError",
     "SchemaError",
     "EmptyRun",
@@ -65,15 +69,19 @@ REFERENCE_RANGES: Dict[Tuple[str, str], Tuple[float, float]] = {
 _DIVERGENCE_TOL = 5e-4
 
 
-class ParseError(ValueError):
+class DataError(NmqemError):
+    """An input document that cannot be read as a counts table."""
+
+
+class ParseError(DataError):
     """Document is not well-formed."""
 
 
-class SchemaError(ValueError):
+class SchemaError(DataError):
     """Document parses but violates the counts-table schema."""
 
 
-class EmptyRun(ValueError):
+class EmptyRun(DataError):
     """A run has no recorded outcomes."""
 
 
@@ -132,6 +140,8 @@ def load_counts(source) -> CountTable:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:  # nested too deeply, an integer too long
+        raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
 

@@ -49,7 +49,7 @@ import warnings
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import _CHANNEL, AlphaOutOfRange, Channel
+from .channel import _CHANNEL, AlphaOutOfRange, Channel, NmqemError
 from .linalg import CMat, det, identity, mat_inv, mat_mul
 
 __all__ = [
@@ -73,7 +73,7 @@ ALPHA_MAX = 0.25
 _DENOM_EPS = 1e-9
 
 
-class DenominatorNearZero(ArithmeticError):
+class DenominatorNearZero(NmqemError, ArithmeticError):
     """Closed-form denominator vanishes (alpha at a channel singularity)."""
 
 

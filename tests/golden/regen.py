@@ -28,7 +28,7 @@ if __name__ == "__main__":  # as a script: import nmqem and the tests from this 
 
 from nmqem import channel, gamma, kernel, recovery  # noqa: E402
 from nmqem.cli import _u_grid, build_parser, main  # noqa: E402
-from test_cli import BOUNDARY_CASES, _probs_document  # noqa: E402
+from test_cli import BOUNDARY_CASES, write_case_files  # noqa: E402
 
 CLI_PATH = HERE / "cli.txt"
 DIGEST_PATH = HERE / "digest.json"
@@ -102,6 +102,8 @@ def cli_cases() -> dict:
                     "cost", "--gate", gate, "--coupling", coupling, "--u-max", "1", "--steps", "2",
                     "--format", fmt]
     cases["kernel-coupling-negative-zero"] = ["kernel", "--coupling", "-0", "--steps", "2"]
+    # Identity's two costs, equal in exact arithmetic and about 8.3e7, a last-ulp apart
+    cases["decompose-identity-equal-costs"] = ["decompose", "--gate", "identity", "--alpha", "0.249999997"]
     return cases
 
 
@@ -156,12 +158,6 @@ def load_cli(text: str) -> dict:
             r[stream] = "".join(next(lines) + "\n" for _ in range(count))
         results[key] = r
     return results
-
-
-def write_case_files(tmp: str):
-    """The data files the boundary argv read."""
-    Path(tmp, "nan_probs.json").write_text(_probs_document(float("nan")))
-    Path(tmp, "bool_probs.json").write_text(_probs_document(False))
 
 
 def _hex(v) -> str:

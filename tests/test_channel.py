@@ -71,14 +71,6 @@ class TestBases:
                               (0.0, 0.0, 0.0, 1.0), (0.0, s, -s, 0.0))
         assert CB.vectors == tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
-    def test_one_kind_of_vectors(self):
-        with pytest.raises(ValueError):
-            Basis4("both", CB.vectors, integer_vectors=CB.integer_vectors)
-        with pytest.raises(ValueError):
-            Basis4("neither")
-        with pytest.raises(ValueError):  # a float-only basis has no exact M tensor
-            m_tensor(Basis4("floats", MB.vectors))
-
 
 class TestMTensor:
     def test_sum_rule(self):
@@ -405,11 +397,6 @@ class TestToComputational:
         # by the exact weight 1/2 of the integer vectors
         assert to_computational((0, 1, 0, 0), MB) == (0.0, 0.5, 0.5, 0.0)
         assert to_computational((0, 0, 0, 1), MB) == (0.0, 0.5, 0.5, 0.0)
-
-    def test_float_basis_squares_its_amplitudes(self):
-        floats = Basis4("multiplet_floats", vectors=MB.vectors)
-        half = abs(MB.vectors[1][1]) ** 2  # (1/sqrt2)^2 rounds to 0.4999999999999999
-        assert to_computational((0, 1, 0, 0), floats) == (0.0, half, half, 0.0)
 
     @pytest.mark.parametrize("gate", GATES)
     def test_columns_match_predict_table(self, gate):

@@ -1,12 +1,16 @@
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
-from nmqem import gamma
+from nmqem import cli, gamma
+from nmqem.channel import AlphaOutOfRange, NmqemError
 from nmqem.cli import build_parser, main, run_gamma_check
+from nmqem.expdata import DataError, EmptyRun, ParseError, SchemaError
 from nmqem.kernel import KernelParams, k_printed, k_quadrature
 from nmqem.linalg import CMat
+from nmqem.recovery import DenominatorNearZero
 
 FIXTURES = files("nmqem") / "fixtures"
 SWAP_IBM = str(FIXTURES / "table3_ibm_swap.json")
@@ -404,6 +408,18 @@ class TestDecompose:
         assert report["cost_closed_form"] == pytest.approx(1.3819444444, abs=1e-9)
         assert "note" in report
 
+    @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
+    @pytest.mark.parametrize("gate, alpha, noted", [
+        ("swap", "0.05", True),
+        ("swap", "0.24995", True),
+        # equal in exact arithmetic; about 8.3e7 each, a last-ulp apart
+        ("identity", "0.249999997", False),
+    ])
+    def test_note_only_where_the_costs_differ(self, gate, alpha, noted, capsys):
+        code, out, _ = run_cli(["decompose", "--gate", gate, "--alpha", alpha], capsys)
+        assert code == 0
+        assert ("note: decomposition cost differs" in out) is noted
+
     def test_alpha_out_of_domain(self, capsys):
         code, _, _ = run_cli(["decompose", "--gate", "swap", "--alpha", "0.3"], capsys)
         assert code == 2
@@ -452,6 +468,22 @@ def _probs_document(value):
     return json.dumps({"gate": "swap", "device": "x", "shots": 1000, "runs": runs})
 
 
+# The documents that BOUNDARY_CASES read from "{tmp}", by file name: a NaN and
+# a boolean probability; arrays nested deeper than the parser recurses, and
+# shots written as an integer literal of 5,001 digits, more than Python reads.
+CASE_FILES = {
+    "nan_probs.json": _probs_document(float("nan")),
+    "bool_probs.json": _probs_document(False),
+    "deep.json": "[" * 200_000,
+    "long_shots.json": _probs_document(0.0).replace('"shots": 1000', '"shots": ' + "1" * 5001),
+}
+
+
+def write_case_files(directory):
+    for name, text in CASE_FILES.items():
+        Path(directory, name).write_text(text)
+
+
 # Each invalid argv with its documented exit code: 2 usage error, 3 data error.
 BOUNDARY_CASES = {
     "decompose-near-quarter": (
@@ -463,6 +495,8 @@ BOUNDARY_CASES = {
     "cost-out-missing-dir": (["cost", "--gate", "swap", "--out", "{tmp}/missing/x.csv"], 3),
     "estimate-nan-probs": (["estimate", "--counts", "{tmp}/nan_probs.json"], 3),
     "estimate-bool-probs": (["estimate", "--counts", "{tmp}/bool_probs.json"], 3),
+    "estimate-deep-nesting": (["estimate", "--counts", "{tmp}/deep.json"], 3),
+    "estimate-long-shots": (["estimate", "--counts", "{tmp}/long_shots.json"], 3),
     "kernel-printed-gamma0-overflow": (["kernel", "--mode", "printed", "--gamma0", "1e308"], 2),
     "kernel-printed-coupling-overflow": (
         ["kernel", "--mode", "printed", "--coupling", "1e308", "--wc-ts", "1e-308"], 2),
@@ -485,8 +519,7 @@ class TestBoundary:
     @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
     @pytest.mark.parametrize("kind", sorted(BOUNDARY_CASES))
     def test_invalid_argv_exits_cleanly(self, kind, capsys, tmp_path):
-        (tmp_path / "nan_probs.json").write_text(_probs_document(float("nan")))
-        (tmp_path / "bool_probs.json").write_text(_probs_document(False))
+        write_case_files(tmp_path)
         template, expected = BOUNDARY_CASES[kind]
         argv = [arg.format(tmp=tmp_path) for arg in template]
         runs = [(argv, argv[argv.index("--out") + 1] if "--out" in argv else None)]
@@ -583,3 +616,21 @@ class TestParserReuse:
         reused = [run_cli(argv, capsys) for argv in self.SEQUENCE]
         assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
         assert reused == fresh
+
+
+class TestErrorHierarchy:
+    def test_classes(self):
+        data = (ParseError, SchemaError, EmptyRun)
+        for cls in (AlphaOutOfRange, DenominatorNearZero) + data:
+            assert issubclass(cls, NmqemError) and issubclass(cls, ValueError)
+            assert issubclass(cls, DataError) is (cls in data)
+        assert issubclass(DenominatorNearZero, ArithmeticError)
+
+    def test_stray_overflow_is_not_a_usage_error(self, monkeypatch):
+        # only an NmqemError or an OSError is reported with an exit code
+        def overflow(*args):
+            raise OverflowError("stray")
+
+        monkeypatch.setattr(cli, "predict_table", overflow)
+        with pytest.raises(OverflowError, match="stray"):
+            main(["predict", "--gate", "swap", "--alpha", "0.02"])

@@ -24,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from nmqem.channel import input_labels  # noqa: E402
 from nmqem.cli import main  # noqa: E402
 from nmqem.expdata import OUTCOMES  # noqa: E402
+from test_cli import CASE_FILES  # noqa: E402
 
 EXTREMES = (
     0.0, -0.0, 5e-324, 1e-308, 1e-300, 1e-10, 0.5, 1.0, 10.0, 1e3, 1e10, 1e150,
@@ -186,10 +187,13 @@ def test_alpha_argv_exit_cleanly(out_dir, case):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=estimate_cases())
-# a probability written as a 401-digit integer, which no float holds, and a
-# run whose total is zero
+# a probability written as a 401-digit integer, which no float holds, a run
+# whose total is zero, arrays nested too deeply for the parser and shots
+# written with more digits than Python reads
 @example(case=(_identity_probs("01", 10 ** 400), ["estimate"], True))
 @example(case=(_identity_probs("00", 0.0), ["estimate", "--format", "csv"], False))
+@example(case=(CASE_FILES["deep.json"], ["estimate"], True))
+@example(case=(CASE_FILES["long_shots.json"], ["estimate", "--format", "table"], False))
 def test_estimate_documents_exit_cleanly(out_dir, case):
     document, argv, with_out = case
     path = out_dir / "document.json"

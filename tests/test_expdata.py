@@ -66,6 +66,15 @@ class TestLoadCounts:
         with pytest.raises(ParseError, match="line"):
             load_counts('{"gate": "swap",')
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200_000, "maximum recursion depth exceeded"),
+        ('{"gate": "swap", "shots": ' + "1" * 5001 + "}", "integer string conversion"),
+    ])
+    def test_unreadable_json_is_a_parse_error(self, text, message):
+        # json.loads raises RecursionError and a plain ValueError here, not JSONDecodeError
+        with pytest.raises(ParseError, match=f"^invalid JSON: .*{message}"):
+            load_counts(text)
+
     def test_non_object_top_level(self):
         with pytest.raises(ParseError):
             load_counts("[1, 2]")
