@@ -35,7 +35,7 @@ import math
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .linalg import CMat
+from .linalg import PAULI, CMat, kron
 
 __all__ = [
     "Basis4",
@@ -83,8 +83,10 @@ def _norms(vectors) -> Tuple[int, ...]:
 class Basis4:
     """An orthonormal two-qubit basis over {|00>, |01>, |10>, |11>}, given
     by integer vectors x with entries in {0, +-1, +-i} whose states are
-    x / sqrt|x|^2. The float amplitudes ``vectors`` are derived from them,
-    and ``m_tensor`` works from the integer vectors without rounding.
+    x / sqrt|x|^2, checked exactly before any division: entries outside that
+    set, or a Gram matrix <x_a|x_b> not 0 off the diagonal and nonzero on it,
+    raise ValueError. The float amplitudes ``vectors`` are derived from the
+    vectors, and ``m_tensor`` works from them without rounding.
     """
 
     __slots__ = ("name", "vectors", "integer_vectors")
@@ -92,14 +94,14 @@ class Basis4:
     def __init__(self, name: str, integer_vectors: Tuple[Tuple[complex, ...], ...]):
         if len(integer_vectors) != 4 or any(len(v) != 4 for v in integer_vectors):
             raise ValueError("need four amplitude 4-vectors")
+        if not all(x in (0, 1, -1, 1j, -1j) for v in integer_vectors for x in v):
+            raise ValueError("basis vector entries must be 0, +-1 or +-i")
+        for i, u in enumerate(integer_vectors):
+            for j, w in enumerate(integer_vectors):
+                if (sum(x.conjugate() * y for x, y in zip(u, w)) != 0) != (i == j):
+                    raise ValueError("basis vectors are not orthonormal")
         vectors = tuple(tuple(x / math.sqrt(n) for x in v)
                         for v, n in zip(integer_vectors, _norms(integer_vectors)))
-        for i in range(4):
-            for j in range(4):
-                g = sum(vectors[i][p].conjugate() * vectors[j][p] for p in range(4))
-                expected = 1.0 if i == j else 0.0
-                if abs(g - expected) > 1e-12:
-                    raise ValueError("basis vectors are not orthonormal")
         self.name, self.vectors, self.integer_vectors = name, vectors, integer_vectors
 
 
@@ -166,19 +168,11 @@ class MTensor:
         return sum(self.m[a - 1][ap][ap][c - 1] for ap in range(4))
 
 
-_PAULI = {"X": ((0, 1), (1, 0)), "Y": ((0, -1j), (1j, 0)), "Z": ((1, 0), (0, -1))}
-_I2 = ((1, 0), (0, 1))
-
-
-def _kron_entries(a, b):
-    """Nonzero entries (i, j, value) of the 4x4 Kronecker product of a and b."""
-    entries = ((i, j, a[i // 2][j // 2] * b[i % 2][j % 2]) for i in range(4) for j in range(4))
-    return tuple(e for e in entries if e[2])
-
-
-# The six single-qubit Paulis on two qubits: X, Y and Z on qubit 1 and on qubit 2.
+# The six single-qubit Paulis on two qubits, X, Y and Z on qubit 1 and on
+# qubit 2, each as its nonzero (flat index, entry) pairs, as GammaBasis.support.
 _SPIN_OPERATORS = tuple(
-    op for p in "XYZ" for op in (_kron_entries(_PAULI[p], _I2), _kron_entries(_I2, _PAULI[p]))
+    tuple((k, e) for k, e in enumerate(op.entries) if e)
+    for p in PAULI[1:] for op in (kron(p, PAULI[0]), kron(PAULI[0], p))
 )
 
 
@@ -186,7 +180,7 @@ def _pauli_elements(vectors):
     """<x_a|sigma|x_b> for each spin operator sigma and integer vectors x_a,
     x_b, indexed [sigma][a][b]: small Gaussian integers, exact in floats."""
     return tuple(
-        tuple(tuple(sum(va[i].conjugate() * s * vb[j] for i, j, s in op) for vb in vectors)
+        tuple(tuple(sum(va[k // 4].conjugate() * s * vb[k % 4] for k, s in op) for vb in vectors)
               for va in vectors)
         for op in _SPIN_OPERATORS
     )

@@ -120,23 +120,26 @@ def _u_grid(u_max: float, steps: int):
     return grid
 
 
+def _kernel_params(args, coupling: float) -> KernelParams:
+    """One printed or quadrature curve's parameters: gamma0 is coupling / --wc-ts
+    unless --gamma0 gives it. Cannot raise once ``_check_usage`` has passed."""
+    gamma0 = coupling / args.wc_ts if args.gamma0 is None else args.gamma0
+    return KernelParams(gamma0=gamma0, delta0=args.delta0, wc_ts=args.wc_ts)
+
+
 def cmd_kernel(args, out) -> int:
-    couplings = args.coupling
     with_im = args.mode != "approx" and args.delta0 != 0.0
     header = ["coupling", "u", "re_k"] + (["im_k"] if with_im else [])
     rows = []
-    for coupling in couplings:
+    for coupling in args.coupling:
+        if args.mode != "approx":
+            params = _kernel_params(args, coupling)
         for u in _u_grid(args.u_max, args.steps):
             if args.mode == "approx":
                 rows.append([coupling, u, re_k_approx(coupling, u)])
             else:
                 if not math.isfinite(args.wc_ts * u):
                     raise NmqemError(f"wc_ts * u overflows at wc_ts={args.wc_ts}, u={u}")
-                params = KernelParams(
-                    gamma0=coupling / args.wc_ts if args.gamma0 is None else args.gamma0,
-                    delta0=args.delta0,
-                    wc_ts=args.wc_ts,
-                )
                 k = k_printed(params, u) if args.mode == "printed" else k_quadrature(params, u)
                 row = [coupling, u, k.real]
                 if with_im:
@@ -161,8 +164,13 @@ def cmd_kernel(args, out) -> int:
 # ----------------------------------------------------------------------- cost
 
 
+def _printed_cost(gate: str):
+    """The printed cost function, looked up on ``recovery`` when called."""
+    return recovery.cost_swap if gate == "swap" else recovery.cost_id
+
+
 def cmd_cost(args, out) -> int:
-    cost_fn = recovery.cost_swap if args.gate == "swap" else recovery.cost_id
+    cost_fn = _printed_cost(args.gate)
     header = ["coupling", "u", "alpha", "cost"]
     rows = []
     for coupling in args.coupling:
@@ -303,11 +311,7 @@ def cmd_decompose(args, out) -> int:
         abs(a - b) for a, b in zip(recon.entries, op.matrix.entries)
     )
     decomposition_cost = recovery.cost_from_decomposition(op)
-    printed_cost = (
-        recovery.cost_swap(args.alpha)
-        if args.gate == "swap"
-        else recovery.cost_id(args.alpha)
-    )
+    printed_cost = _printed_cost(args.gate)(args.alpha)
     coeffs = {
         label: [op.gamma.coeffs[label].real, op.gamma.coeffs[label].imag]
         for label in gamma.BASIS_ORDER
@@ -455,15 +459,19 @@ def _join_negative_values(argv):
     return joined
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-
+def _parse_args(argv):
+    """argv as ``main`` reads it: ``kernel --gamma0`` sets the one coupling."""
+    args = build_parser().parse_args(_join_negative_values(argv))
     if args.command == "kernel" and args.gamma0 is not None:
         args.coupling = [args.gamma0 * args.wc_ts]
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else 0
 
     # Output is buffered so that a failing command prints nothing and leaves
     # no --out file behind. Warnings are reported as one line each once the

@@ -1,10 +1,10 @@
 """The 16 Dirac Gamma matrices and decomposition of 4x4 matrices in them.
 
-The basis is built from the Pauli matrices: g_i (i = 1, 2, 3) places sigma_i
-on the off-diagonal blocks and g0 = i * diag(I, -I). Products, g5 and the
-g5*g_mu set are computed from these, never transcribed, so every entry is an
-exact complex integer in {0, +-1, +-i}. The metric is g11 = g22 = g33 = 1,
-g00 = -1.
+The generators are phases times two-qubit Pauli strings (``linalg.kron`` of
+``linalg.PAULI``): g_k = X (x) sigma_k (k = 1, 2, 3) and g0 = i Z (x) I.
+Products, g5 and the g5*g_mu set are computed from these, never transcribed,
+so each of the 16 is again a phase in {+-1, +-i} times a Pauli string, with
+exact entries in {0, +-1, +-i}. The metric is g11 = g22 = g33 = 1, g00 = -1.
 
 All 16 matrices are unitary and pairwise trace-orthogonal,
 tr(G_r^dagger G_s) = 4 delta_rs, so the expansion weights of a 4x4 matrix M
@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .linalg import CMat, mat_mul, identity
+from .linalg import PAULI, CMat, identity, kron, mat_mul
 
 __all__ = [
     "GammaBasis",
@@ -98,28 +98,10 @@ class GammaCoeffs:
         return sum(map(abs, map(self.coeffs.__getitem__, BASIS_ORDER)))
 
 
-_PAULI = {
-    1: CMat.from_rows([[0, 1], [1, 0]]),
-    2: CMat.from_rows([[0, -1j], [1j, 0]]),
-    3: CMat.from_rows([[1, 0], [0, -1]]),
-}
-
-
-def _offdiag_blocks(sigma: CMat) -> CMat:
-    rows = [[0.0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            rows[i][2 + j] = sigma.at(i, j)
-            rows[2 + i][j] = sigma.at(i, j)
-    return CMat.from_rows(rows)
-
-
 @lru_cache(maxsize=None)
 def build_gamma_basis() -> GammaBasis:
-    g = {f"g{i}": _offdiag_blocks(_PAULI[i]) for i in (1, 2, 3)}
-    g["g0"] = CMat.from_rows(
-        [[1j, 0, 0, 0], [0, 1j, 0, 0], [0, 0, -1j, 0], [0, 0, 0, -1j]]
-    )
+    g = {f"g{k}": kron(PAULI[1], PAULI[k]) for k in (1, 2, 3)}
+    g["g0"] = kron(PAULI[3], PAULI[0]).scaled(1j)
     g["I"] = identity(4)
     for mu in range(4):
         for nu in range(mu + 1, 4):

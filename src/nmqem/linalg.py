@@ -21,7 +21,9 @@ __all__ = [
     "solve_linear",
     "integrate",
     "identity",
+    "kron",
     "det",
+    "PAULI",
 ]
 
 _ALLOWED_SHAPES = {(2, 2), (4, 4), (16, 16)}
@@ -96,6 +98,18 @@ class CMat:
 
 def identity(n: int) -> CMat:
     return CMat(n, n, tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n)))
+
+
+# The Pauli matrices I, X, Y and Z, indexed 0..3.
+PAULI = tuple(CMat(2, 2, e) for e in ((1, 0, 0, 1), (0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1)))
+
+
+def kron(a: CMat, b: CMat) -> CMat:
+    """a (x) b of 2x2 matrices: entry (i, j) is a[i // 2][j // 2] * b[i % 2][j % 2]."""
+    if (a.rows, a.cols, b.rows, b.cols) != (2, 2, 2, 2):
+        raise ShapeError("kron expects two 2x2 matrices")
+    return CMat(4, 4, tuple(a.at(i // 2, j // 2) * b.at(i % 2, j % 2)
+                            for i in range(4) for j in range(4)))
 
 
 def mat_mul(a: CMat, b: CMat) -> CMat:

@@ -27,7 +27,7 @@ if __name__ == "__main__":  # as a script: import nmqem and the tests from this 
     sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
 
 from nmqem import channel, gamma, kernel, recovery  # noqa: E402
-from nmqem.cli import _u_grid, build_parser, main  # noqa: E402
+from nmqem.cli import _kernel_params, _parse_args, _printed_cost, _u_grid, main  # noqa: E402
 from test_cli import BOUNDARY_CASES, write_case_files  # noqa: E402
 
 CLI_PATH = HERE / "cli.txt"
@@ -193,7 +193,7 @@ def digest_blocks() -> dict:
         blocks[f"predict_table/{gate}"] = [
             f"{alpha.hex()} {_row(v for row in channel.predict_table(gate, alpha) for v in row)}"
             for alpha in digest_alphas()]
-        printed = recovery.cost_swap if gate == "swap" else recovery.cost_id
+        printed = _printed_cost(gate)
         lines, costs, decomposition_costs, reconstructed = [], [], [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # nearly singular near 1/4
@@ -211,10 +211,8 @@ def digest_blocks() -> dict:
         blocks[f"reconstruct/{gate}"] = reconstructed
     for name, argv in KERNEL_PARAMS.items():
         # the KernelParams and u grid that ``kernel --mode {printed,quadrature}`` evaluates
-        args = build_parser().parse_args(["kernel", *argv])
-        couplings = args.coupling if args.gamma0 is None else [args.gamma0 * args.wc_ts]
-        params = [(c, kernel.KernelParams(c / args.wc_ts if args.gamma0 is None else args.gamma0,
-                                          args.delta0, args.wc_ts)) for c in couplings]
+        args = _parse_args(["kernel", *argv])
+        params = [(c, _kernel_params(args, c)) for c in args.coupling]
         for k in (kernel.k_printed, kernel.k_quadrature):
             blocks[f"{k.__name__}/{name}"] = [f"{c.hex()} {u.hex()} {_hex(k(p, u))}"
                                               for c, p in params for u in _u_grid(args.u_max, args.steps)]
@@ -254,7 +252,7 @@ def sweep_lines(gate: str) -> list:
     alphas also the recovery_op matrix, weights with their types and closed-form
     record, the printed cost, cost_from_decomposition and reconstruct; every
     error's text and every RuntimeWarning's text and the file it points at."""
-    printed = recovery.cost_swap if gate == "swap" else recovery.cost_id
+    printed = _printed_cost(gate)
     basis = gamma.build_gamma_basis()
     lines = []
 

@@ -53,6 +53,24 @@ class TestBases:
         with pytest.raises(ValueError):
             Basis4("broken", ((1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
+    def test_zero_vector_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Basis4("zero", ((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    @pytest.mark.parametrize("entry", [0.7, 2, 1 + 1j, float("nan")])
+    def test_undocumented_entry_rejected(self, entry):
+        # each is refused before the Gram check, even where the basis would be
+        # orthogonal (a lone 0.7 or 2 in place of a 1)
+        with pytest.raises(ValueError, match="must be 0, \\+-1 or \\+-i"):
+            Basis4("scaled", ((entry, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    def test_gram_is_exact(self):
+        # (1, 1j) and (1, -1j) are orthogonal: <u|w> = 1 + (-1j)(-1j) = 0
+        basis = Basis4("circular", ((1, 1j, 0, 0), (1, -1j, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        assert basis.integer_vectors[1] == (1, -1j, 0, 0)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Basis4("skew", ((1, 1j, 0, 0), (1, 1j, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
     def test_basis_for_gate(self):
         assert basis_for_gate("swap").name == "multiplet_swap"
         assert basis_for_gate("identity").name == "computational"

@@ -156,6 +156,27 @@ class TestKernel:
         code, _, _ = run_cli(["kernel", "--coupling", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("mode, built", [("approx", 0), ("printed", 2), ("quadrature", 2)])
+    def test_one_params_per_curve(self, mode, built, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "KernelParams", lambda **kw: calls.append(kw) or KernelParams(**kw))
+        code, out, _ = run_cli(["kernel", "--mode", mode, "--steps", "11"], capsys)
+        assert (code, len(out.splitlines()), len(calls)) == (0, 1 + 2 * 11, built)
+
+
+class TestPrintedCost:
+    """cost and decompose look the printed cost up on ``recovery`` per call,
+    so that a traced run sees cost_swap and cost_id."""
+
+    @pytest.mark.parametrize("gate, name", [("swap", "cost_swap"), ("identity", "cost_id")])
+    @pytest.mark.parametrize("argv", [["cost", "--steps", "3"], ["decompose", "--alpha", "0.05"]])
+    def test_looked_up_per_call(self, gate, name, argv, capsys, monkeypatch):
+        calls = []
+        real = getattr(cli.recovery, name)
+        monkeypatch.setattr(cli.recovery, name, lambda alpha: calls.append(alpha) or real(alpha))
+        code, _, _ = run_cli(argv + ["--gate", gate], capsys)
+        assert code == 0 and calls
+
 
 class TestCost:
     def test_identity_cost_csv(self, capsys):

@@ -12,7 +12,7 @@ from nmqem.gamma import (
     is_orthogonal,
     reconstruct,
 )
-from nmqem.linalg import CMat, identity, mat_mul, solve_linear
+from nmqem.linalg import PAULI, CMat, identity, kron, mat_mul, solve_linear
 
 BASIS = build_gamma_basis()
 
@@ -78,6 +78,31 @@ class TestBasisMatrices:
     def test_pairwise_distinct(self):
         seen = {BASIS.matrix(label).entries for label in BASIS_ORDER}
         assert len(seen) == 16
+
+
+def pauli_strings(m):
+    """Every (phase, p, q) with m = phase * PAULI[p] (x) PAULI[q] exactly,
+    phase in {+-1, +-i}."""
+    return [(phase, p, q) for phase in (1, -1, 1j, -1j) for p in range(4) for q in range(4)
+            if kron(PAULI[p], PAULI[q]).scaled(phase).entries == m.entries]
+
+
+class TestPauliStrings:
+    """Each Gamma matrix is a phase times a two-qubit Pauli string, so the
+    Gamma expansion is the Pauli expansion up to phases."""
+
+    @pytest.mark.parametrize("label", BASIS_ORDER)
+    def test_one_phase_times_one_string(self, label):
+        assert len(pauli_strings(BASIS.matrix(label))) == 1
+
+    def test_strings_are_distinct(self):
+        strings = {pauli_strings(BASIS.matrix(label))[0][1:] for label in BASIS_ORDER}
+        assert len(strings) == 16
+
+    def test_generators(self):
+        assert pauli_strings(BASIS.matrix("g0")) == [(1j, 3, 0)]
+        for k in (1, 2, 3):
+            assert pauli_strings(BASIS.generator(k)) == [(1, 1, k)]
 
 
 class TestAlgebra:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from nmqem.linalg import (
+    PAULI,
     CMat,
     NonConvergence,
     ShapeError,
@@ -11,6 +12,7 @@ from nmqem.linalg import (
     det,
     identity,
     integrate,
+    kron,
     mat_inv,
     mat_mul,
     solve_linear,
@@ -64,6 +66,37 @@ class TestCMat:
             CMat.from_rows([[1, 2], [3]])
         with pytest.raises(TypeError):
             CMat.from_rows([[1, 2], [3, None]])
+
+
+class TestKron:
+    def test_pauli_matrices(self):
+        assert [m.entries for m in PAULI] == [
+            (1, 0, 0, 1), (0, 1, 1, 0), (0, -1j, 1j, 0), (1, 0, 0, -1)]
+        assert all(type(e) is complex for m in PAULI for e in m.entries)
+
+    def test_block_layout(self):
+        # a (x) b is the 2x2 block matrix [[a00 b, a01 b], [a10 b, a11 b]]
+        rng = random.Random(7)
+        a, b = random_cmat(rng, 2), random_cmat(rng, 2)
+        rows = [[a.at(r, c) * b.at(i, j) for c in range(2) for j in range(2)]
+                for r in range(2) for i in range(2)]
+        assert kron(a, b).entries == CMat.from_rows(rows).entries
+
+    def test_mixed_product_on_paulis(self):
+        # (A (x) B)(C (x) D) = AC (x) BD, exact on the Pauli matrices
+        for a in PAULI:
+            for b in PAULI:
+                left = mat_mul(kron(a, b), kron(b, a))
+                assert left.entries == kron(mat_mul(a, b), mat_mul(b, a)).entries
+
+    def test_identity(self):
+        assert kron(PAULI[0], PAULI[0]).entries == identity(4).entries
+
+    def test_rejects_non_2x2(self):
+        with pytest.raises(ShapeError):
+            kron(identity(4), PAULI[0])
+        with pytest.raises(ShapeError):
+            kron(PAULI[0], identity(4))
 
 
 class TestMatMul:
