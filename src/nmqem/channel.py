@@ -9,9 +9,11 @@ computational basis. The Pauli matrix elements of integer vectors are small
 Gaussian integers, which floats hold exactly, so each of these quantities is
 rounded at most once. ``v_element`` assembles the noisy evolution operator
 element by element from M. The SWAP / Identity population channels are affine
-in alpha = Re k, delta - 2 alpha R. Also produces the predicted probability
-tables, including the conversion from the exchange-symmetric multiplet basis
-to the computational basis.
+in alpha = Re k, delta - 2 alpha R. In Pauli-error form the map is
+(1 - 3 alpha) rho + (alpha/2) sum_sigma sigma rho sigma over the six
+weight-1 Paulis sigma, and delta - 2 alpha R is its population transfer. Also
+produces the predicted probability tables, including the conversion from the
+exchange-symmetric multiplet basis to the computational basis.
 
 Each gate has a forward plan, built once at import, and a call makes one pass
 over it. ``_CHANNEL`` holds the 16 (delta_ac, R_ac) pairs, and each entry is
@@ -24,8 +26,11 @@ That is exact: to_computational's sum starts from 0.0 and so never holds
 unchanged. A row whose one weight is 1.0 is the channel row as is, because
 no channel entry is -0.0.
 
-Channel matrices are column stochastic: column c is the output population
-distribution for pure input state c. ``NmqemError``, defined here, is the base
+Every column of a channel matrix sums to 1: column c is the output population
+distribution for pure input state c. The entries are nonnegative for alpha in
+[0, 1/3], where the map is completely positive. Past 1/3 the SWAP block is
+the affine extension of the map: its m2 -> m2 and m4 -> m4 entries,
+1 - 3 alpha, are negative. ``NmqemError``, defined here, is the base
 of the errors the command line reports.
 """
 
@@ -230,7 +235,9 @@ def v_element(
 
 
 class Channel:
-    """Column-stochastic 4x4 population transfer matrix for one gate."""
+    """4x4 population transfer matrix for one gate. Every column sums to 1;
+    the entries are nonnegative for alpha in [0, 1/3], where the map is
+    completely positive, and past 1/3 the SWAP block is its affine extension."""
 
     __slots__ = ("gate", "basis", "alpha", "matrix")
 

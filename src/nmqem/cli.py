@@ -28,7 +28,7 @@ import warnings
 from . import expdata, gamma, recovery
 from .channel import COMPUTATIONAL_LABELS, GATES, NmqemError, input_labels, predict_table
 from .kernel import KernelParams, k_printed, k_quadrature, re_k_approx
-from .linalg import identity, mat_mul
+from .linalg import identity
 
 EXIT_OK = 0
 EXIT_SELF_CHECK = 1
@@ -50,32 +50,114 @@ def _write(out, text: str):
         out.write("\n")
 
 
+def _csv_cell(kind: type) -> str:
+    """The %-format of a CSV cell of type ``kind``: a float at 10 significant
+    digits, None as an empty cell ("%.0s" prints none of "None"), else str()."""
+    return "%.10g" if issubclass(kind, float) else "%.0s" if kind is type(None) else "%s"
+
+
 def _emit_csv(out, header, rows):
-    """One line per row; a float at 10 significant digits, None as an empty cell."""
+    """One line per row; a float at 10 significant digits, None as an empty
+    cell, any other value as str(). Each row is one %-format call, through a
+    template rebuilt only when the row's column types change."""
     lines = [",".join(header)]
+    kinds = template = None
     for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, float) else "" if v is None else str(v) for v in row))
+        row_kinds = tuple(map(type, row))
+        if row_kinds != kinds:
+            kinds = row_kinds
+            template = ",".join(map(_csv_cell, kinds))
+        lines.append(template % tuple(row))
     _write(out, "\n".join(lines))
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+# The JSON text of each scalar type, as json.dumps writes it. The lookup is
+# by exact type: a subclass, which no report holds, raises TypeError.
+_JSON_SCALAR = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _append_json(parts: list, value, pad: str):
+    """Append the text of json.dumps(value, indent=2, sort_keys=True) to
+    parts; ``pad`` is the newline and indent of value's own line. Dict keys
+    must be str; any other key or value type raises TypeError."""
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        text = _JSON_SCALAR.get(kind)
+        if text is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        parts.append(text(value))
+    elif not value:
+        parts.append("{}" if kind is dict else "[]")
+    else:
+        inner = pad + "  "
+        # a scalar item is written in place, a container by recursion
+        if kind is dict:
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                text = _JSON_SCALAR.get(type(item))
+                if text is None:
+                    parts.append(f"{sep}{_json_str(key)}: ")
+                    _append_json(parts, item, inner)
+                else:
+                    parts.append(f"{sep}{_json_str(key)}: {text(item)}")
+                sep = "," + inner
+            parts.append(pad + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                text = _JSON_SCALAR.get(type(item))
+                if text is None:
+                    parts.append(sep)
+                    _append_json(parts, item, inner)
+                else:
+                    parts.append(sep + text(item))
+                sep = "," + inner
+            parts.append(pad + "]")
+
+
 def _emit_json(out, payload):
-    _write(out, json.dumps(payload, indent=2, sort_keys=True))
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte. With an
+    indent, CPython before 3.14 runs json's pure-Python encoder, which costs
+    more than the rest of most commands; this writer does the same in one
+    recursive pass."""
+    parts = []
+    _append_json(parts, payload, "\n")
+    _write(out, "".join(parts))
 
 
 # ---------------------------------------------------------------- gamma-check
 
 
+# The entries of 2 g I for each metric entry g: -1, 1, and 0 off the diagonal.
+_TWICE_G_I = {g: identity(4).scaled(2 * g).entries for g in (-1, 0, 1)}
+
+
 def run_gamma_check(basis: gamma.GammaBasis) -> dict:
-    """Run the algebra self-checks on a basis; returns a JSON-able report."""
+    """Run the algebra self-checks on a basis; returns a JSON-able report.
+    Every product has a Gamma matrix as its left factor, so it sums over that
+    matrix's nonzero entries alone (``GammaBasis.left_mul``)."""
     checks = []
     ok = True
     for mu in range(4):
         for nu in range(mu, 4):
             ac = gamma.anticommutator(basis, mu, nu)
             g = basis.metric[mu] if mu == nu else 0
-            expected = identity(4).scaled(2 * g)
-            passed = ac.entries == expected.entries
+            passed = ac.entries == _TWICE_G_I[g]
             ok = ok and passed
             checks.append(
                 {
@@ -88,9 +170,9 @@ def run_gamma_check(basis: gamma.GammaBasis) -> dict:
     rank_ok = gamma.is_orthogonal(basis)
     ok = ok and rank_ok
     checks.append({"check": "rank16", "pass": rank_ok})
-    product = basis.matrix("g0")
-    for mu in (1, 2, 3):
-        product = mat_mul(product, basis.matrix(f"g{mu}"))
+    product = basis.matrix("g3")  # g0 (g1 (g2 g3))
+    for label in ("g2", "g1", "g0"):
+        product = basis.left_mul(label, product)
     g5_ok = product.entries == basis.matrix("g5").entries
     ok = ok and g5_ok
     checks.append({"check": "g5_product", "pass": g5_ok})

@@ -14,6 +14,7 @@ are c_r = tr(G_r^dagger M) / 4.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter, mul
 from typing import Dict, Tuple
 
 from .linalg import PAULI, CMat, identity, kron, mat_mul
@@ -79,6 +80,22 @@ class GammaBasis:
         """The single matrix g_mu for mu in 0..3."""
         return self.matrix(f"g{mu}")
 
+    def left_mul(self, label: str, m: CMat) -> CMat:
+        """G_label m for a 4x4 m, summed over G_label's nonzero entries
+        (``support``) alone. Each product entry accumulates from 0j, so a
+        row with several nonzeros is multiplied in full. For finite entries
+        this equals ``mat_mul`` in ==: a term left out has a zero factor and
+        is a signed zero."""
+        acc = [0j] * 16
+        b = m.entries
+        for k, e in self.support[BASIS_ORDER.index(label)]:
+            i, p = k - k % 4, k % 4 * 4  # G's (row, column) as flat offsets
+            acc[i] += e * b[p]
+            acc[i + 1] += e * b[p + 1]
+            acc[i + 2] += e * b[p + 2]
+            acc[i + 3] += e * b[p + 3]
+        return CMat(4, 4, acc)
+
 
 class GammaCoeffs:
     """Expansion weights keyed by the 16 basis labels."""
@@ -117,9 +134,8 @@ def anticommutator(basis: GammaBasis, mu: int, nu: int) -> CMat:
     """g_mu g_nu + g_nu g_mu; equals 2 g_{mu nu} I exactly."""
     if not (0 <= mu <= 3 and 0 <= nu <= 3):
         raise ValueError("indices must be in 0..3")
-    a = basis.generator(mu)
-    b = basis.generator(nu)
-    return mat_mul(a, b).add(mat_mul(b, a))
+    a, b = f"g{mu}", f"g{nu}"
+    return basis.left_mul(a, basis.matrix(b)).add(basis.left_mul(b, basis.matrix(a)))
 
 
 def _trace_product(a: CMat, b: CMat) -> complex:
@@ -133,11 +149,15 @@ def is_orthogonal(basis: GammaBasis) -> bool:
     over G_r's nonzero entries alone (``basis.support``, derived from the
     entries): every term left out has a zero factor, and a non-finite entry
     of G_s still shows in tr(G_s^dagger G_s)."""
-    return all(
-        sum(e.conjugate() * b.entries[k] for k, e in support) == (4 if r == s else 0)
-        for r, support in enumerate(basis.support)
-        for s, b in enumerate(basis.matrices)
-    )
+    for r, support in enumerate(basis.support):
+        conj = [e.conjugate() for _, e in support]
+        # two spare indices keep take's result a tuple at any support size;
+        # map stops at the end of conj, so they are never multiplied
+        take = itemgetter(*(k for k, _ in support), 0, 0)
+        for s, b in enumerate(basis.matrices):
+            if sum(map(mul, conj, take(b.entries))) != (4 if r == s else 0):
+                return False
+    return True
 
 
 def decompose(basis: GammaBasis, m: CMat) -> GammaCoeffs:

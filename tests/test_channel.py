@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -290,6 +291,21 @@ class TestPopulationChannel:
         assert d_swap == pytest.approx((1 - 2 * alpha) * (1 - 4 * alpha) ** 2, abs=1e-13)
         assert d_id == pytest.approx((1 - 2 * alpha) ** 2 * (1 - 4 * alpha), abs=1e-13)
 
+    @pytest.mark.parametrize("gate", GATES)
+    def test_entries_nonnegative_through_one_third(self, gate):
+        # completely positive on [0, 1/3]: p_I = 1 - 3 alpha and alpha/2 per Pauli
+        for alpha in [i / 300 for i in range(101)] + [1.0 / 3.0]:
+            ch = population_channel(gate, alpha)
+            assert all(v >= 0 for row in ch.matrix for v in row), alpha
+
+    def test_swap_block_is_an_affine_extension_past_one_third(self):
+        # SWAP's m2 -> m2 and m4 -> m4 entries are 1 - 3 alpha; Identity's
+        # diagonal is 1 - 2 alpha, so its block stays nonnegative to 1/2
+        ch = population_channel("swap", 0.4)
+        assert min(v for row in ch.matrix for v in row) == pytest.approx(-0.2, abs=1e-15)
+        assert [sum(ch.column(j)) for j in range(4)] == pytest.approx([1.0] * 4, abs=1e-15)
+        assert all(v >= 0 for row in population_channel("identity", 0.4).matrix for v in row)
+
     def test_alpha_domain(self):
         with pytest.raises(AlphaOutOfRange):
             population_channel("swap", -0.01)
@@ -312,6 +328,34 @@ def derived_rate_matrix(basis):
         )
         for a in range(1, 5)
     )
+
+
+def abs2(z):
+    """|z|^2 of a Gaussian integer z, as an exact Fraction."""
+    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+
+class TestPauliErrorForm:
+    """The population transfer of (1 - 3 alpha) rho + (alpha/2) sum_sigma
+    sigma rho sigma, over the six Kronecker-built weight-1 Paulis, is
+    delta - 2 alpha R, with R from m_tensor, in exact Fractions."""
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_transfer_equals_delta_minus_two_alpha_r(self, gate):
+        basis = basis_for_gate(gate)
+        x = basis.integer_vectors
+        norms = [sum(abs2(e) for e in v) for v in x]
+        # <x_a|sigma|x_c> of integer vectors is a Gaussian integer, exact in floats
+        sandwich = [[sum(abs2(element(op, x[a], x[c])) for op in SPIN_OPS)
+                     / (norms[a] * norms[c]) for c in range(4)] for a in range(4)]
+        rates = [[Fraction(r) for r in row] for row in derived_rate_matrix(basis)]
+        # both sides are affine in alpha, so two points would do
+        for alpha in (Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(2, 5)):
+            for a in range(4):
+                for c in range(4):
+                    delta = int(a == c)
+                    pauli = (1 - 3 * alpha) * delta + alpha / 2 * sandwich[a][c]
+                    assert pauli == delta - 2 * alpha * rates[a][c], (alpha, a, c)
 
 
 def channel_alphas():

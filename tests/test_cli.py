@@ -57,6 +57,20 @@ class TestGammaCheck:
         assert {c["check"]: c["pass"] for c in report["checks"]}["rank16"] is False
         assert report["all_pass"] is False
 
+    def test_row_of_two_nonzeros_fails_g5_check(self):
+        # row 1 of g0 gains an entry before its own: a product that kept only
+        # a row's last nonzero term would still find g0 g1 g2 g3 = g5
+        good = gamma.build_gamma_basis()
+        matrices = list(good.matrices)
+        idx = gamma.BASIS_ORDER.index("g0")
+        entries = list(matrices[idx].entries)
+        assert entries[4:8] == [0, 1j, 0, 0]
+        entries[4] = 1
+        matrices[idx] = CMat(4, 4, entries)
+        report = run_gamma_check(gamma.GammaBasis(tuple(matrices), good.metric))
+        assert {c["check"]: c["pass"] for c in report["checks"]}["g5_product"] is False
+        assert report["all_pass"] is False
+
 
 class TestKernel:
     def test_default_csv(self, capsys):

@@ -1,5 +1,6 @@
 """Property tests over the numeric argv of ``kernel``, ``cost``, ``predict``
-and ``decompose``, and over the documents ``estimate`` reads.
+and ``decompose``, over the documents ``estimate`` reads, and over the CLI's
+own JSON and CSV writers.
 
 For any values of the float flags, extremes included, a small ``--steps`` and
 any ``--gate``, ``main`` never raises, returns only 0, 2 or 3, never prints a
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nmqem.channel import input_labels  # noqa: E402
-from nmqem.cli import main  # noqa: E402
+from nmqem.cli import _emit_csv, _emit_json, main  # noqa: E402
 from nmqem.expdata import OUTCOMES  # noqa: E402
 from test_cli import CASE_FILES  # noqa: E402
 
@@ -201,3 +202,69 @@ def test_estimate_documents_exit_cleanly(out_dir, case):
     out, err, written = run_cleanly(out_dir, (argv + ["--counts", str(path)], with_out), (0, 3))
     for text in (out, err, written):
         assert not NON_FINITE.search(text), (document[:200], text[:200])
+
+
+# floats at the edges of what repr and the JSON writer handle: signed zero,
+# non-finite, the subnormals and the largest finite values
+EDGE_FLOATS = (
+    -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1e-308, 1e308, 1.7976931348623157e308, 1e16, 1e-7, 0.1,
+)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from((2 ** 64, -(10 ** 400))),
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.text(),
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def emitted_json(payload):
+    out = io.StringIO()
+    _emit_json(out, payload)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(payload=JSON_PAYLOADS)
+@example(payload={"": [], "é": {}, "a": ((),), "\u2028": [[{}]], "b": [-0.0, math.nan]})
+def test_json_writer_equals_json_dumps(payload):
+    assert emitted_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(payload=JSON_PAYLOADS, bad=st.sampled_from((1j, {1, 2}, frozenset(), object())),
+       wrap=st.sampled_from((lambda p, b: [p, b], lambda p, b: {"k": p, "z": {"v": b}},
+                             lambda p, b: (b,))))
+def test_json_writer_raises_type_error_as_json_dumps(payload, bad, wrap):
+    document = wrap(payload, bad)
+    with pytest.raises(TypeError):
+        json.dumps(document, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        emitted_json(document)
+
+
+def csv_line(row):
+    """A CSV row by the rule the writer keeps: a float at 10 significant
+    digits, None as an empty cell, anything else as str()."""
+    return ",".join(f"{v:.10g}" if isinstance(v, float) else "" if v is None else str(v)
+                    for v in row)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(
+    st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), st.none(), st.text(),
+              st.integers(), st.booleans()),
+    min_size=n, max_size=n), max_size=8)))
+def test_csv_rows_keep_the_cell_rule(rows):
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    text = "\n".join([",".join(header)] + [csv_line(row) for row in rows])
+    out = io.StringIO()
+    _emit_csv(out, header, rows)
+    assert out.getvalue() == text + ("" if text.endswith("\n") else "\n")

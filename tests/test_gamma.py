@@ -112,6 +112,23 @@ class TestAlgebra:
         expected = identity(4).scaled(2 * METRIC[mu] if mu == nu else 0)
         assert anticommutator(BASIS, mu, nu).entries == expected.entries
 
+    @pytest.mark.parametrize("label", BASIS_ORDER)
+    def test_left_mul_equals_mat_mul(self, label):
+        # every pair of labels, then dense random right factors
+        rng = random.Random(BASIS_ORDER.index(label))
+        rights = list(BASIS.matrices) + [random_cmat(rng) for _ in range(4)]
+        for m in rights:
+            assert BASIS.left_mul(label, m).entries == mat_mul(BASIS.matrix(label), m).entries
+
+    def test_left_mul_sums_a_row_of_several_nonzeros(self):
+        matrices = list(BASIS.matrices)
+        entries = list(BASIS.matrix("g0").entries)
+        entries[4] = 2  # row 1 now holds 2 and i
+        matrices[BASIS_ORDER.index("g0")] = CMat(4, 4, entries)
+        bad = type(BASIS)(tuple(matrices), BASIS.metric)
+        m = random_cmat(random.Random(7))
+        assert bad.left_mul("g0", m).entries == mat_mul(bad.matrix("g0"), m).entries
+
     def test_anticommutator_index_range(self):
         with pytest.raises(ValueError):
             anticommutator(BASIS, 0, 4)
@@ -177,6 +194,15 @@ class TestDecompose:
         entries = list(matrices[r].entries)
         entries[k] = 1
         matrices[r] = CMat(4, 4, entries)
+        assert not is_orthogonal(type(BASIS)(tuple(matrices), BASIS.metric))
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_sparse_matrix_breaks_gram_matrix(self, kept):
+        # a support of zero or one entries is judged too, not an error
+        matrices = list(BASIS.matrices)
+        entries = [0] * 16
+        entries[:kept] = [1] * kept
+        matrices[BASIS_ORDER.index("g3")] = CMat(4, 4, entries)
         assert not is_orthogonal(type(BASIS)(tuple(matrices), BASIS.metric))
 
     def test_trace_weights_match_linear_solve(self):
