@@ -11,7 +11,9 @@ rounded at most once. ``v_element`` assembles the noisy evolution operator
 element by element from M. The SWAP / Identity population channels are affine
 in alpha = Re k, delta - 2 alpha R. In Pauli-error form the map is
 (1 - 3 alpha) rho + (alpha/2) sum_sigma sigma rho sigma over the six
-weight-1 Paulis sigma, and delta - 2 alpha R is its population transfer. Also
+weight-1 Paulis sigma, and delta - 2 alpha R is its population transfer. Its
+bounds on alpha, read off this form, are ``ALPHA_CP`` and ``ALPHA_MAX``: the
+domain [0, ALPHA_CP] of the channel and [0, ALPHA_MAX) of its inverse. Also
 produces the predicted probability tables, including the conversion from the
 exchange-symmetric multiplet basis to the computational basis.
 
@@ -26,12 +28,9 @@ That is exact: to_computational's sum starts from 0.0 and so never holds
 unchanged. A row whose one weight is 1.0 is the channel row as is, because
 no channel entry is -0.0.
 
-Every column of a channel matrix sums to 1: column c is the output population
-distribution for pure input state c. The entries are nonnegative for alpha in
-[0, 1/3], where the map is completely positive. Past 1/3 the SWAP block is
-the affine extension of the map: its m2 -> m2 and m4 -> m4 entries,
-1 - 3 alpha, are negative. ``NmqemError``, defined here, is the base
-of the errors the command line reports.
+A channel matrix is stochastic on its whole domain: column c is the output
+population distribution for pure input state c. ``NmqemError``, defined
+here, is the base of the errors the command line reports.
 """
 
 from __future__ import annotations
@@ -58,6 +57,9 @@ __all__ = [
     "to_computational",
     "GATES",
 ]
+
+ALPHA_CP = 1.0 / 3.0  # completely positive exactly on [0, 1/3]: p_I = 1 - 3 alpha >= 0
+ALPHA_MAX = 0.25  # a finite inverse exactly on [0, 1/4): the weight-2 eigenvalue 1 - 4 alpha > 0
 
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 MULTIPLET_LABELS = ("m1", "m2", "m3", "m4")
@@ -235,9 +237,7 @@ def v_element(
 
 
 class Channel:
-    """4x4 population transfer matrix for one gate. Every column sums to 1;
-    the entries are nonnegative for alpha in [0, 1/3], where the map is
-    completely positive, and past 1/3 the SWAP block is its affine extension."""
+    """4x4 population transfer matrix for one gate, column-stochastic."""
 
     __slots__ = ("gate", "basis", "alpha", "matrix")
 
@@ -273,16 +273,16 @@ _CHANNEL = {gate: _channel_terms(basis_for_gate(gate)) for gate in GATES}
 
 
 def _channel_rows(gate: str, alpha: float) -> list:
+    """The gate's channel rows at alpha, in the map's domain [0, ALPHA_CP]."""
+    _gate_record(gate)
+    if not (0.0 <= alpha <= ALPHA_CP):
+        raise AlphaOutOfRange(f"alpha={alpha} outside [0, 1/3]")
     v = [d - r * alpha - r * alpha for d, r in _CHANNEL[gate]]
     return [tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12]), tuple(v[12:16])]
 
 
 def population_channel(gate: str, alpha: float) -> Channel:
     """Population block of the noisy evolution operator at alpha = Re k."""
-    if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}")
-    if not (0.0 <= alpha < 0.5):
-        raise AlphaOutOfRange(f"alpha={alpha} outside [0, 0.5)")
     return Channel(gate, basis_for_gate(gate).name, alpha, tuple(_channel_rows(gate, alpha)))
 
 
@@ -331,10 +331,6 @@ def predict_table(gate: str, alpha: float):
     """Output probabilities in the computational basis, one column per input
     state (multiplet inputs for SWAP, computational for Identity): the
     channel's columns through ``to_computational``, bit for bit."""
-    if not (0.0 <= alpha <= 1.0 / 3.0):
-        raise AlphaOutOfRange(f"alpha={alpha} outside [0, 1/3]")
-    if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}")
     rows = _channel_rows(gate, alpha)
     mixes, layout = _PREDICT_PLAN[gate]
     rows += [_mix(terms, rows) for terms in mixes]

@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands, and the layout each prints for --format csv / json / table::
 
-    gamma-check   algebra self-test of the 16-matrix basis
-    kernel        Re k / Im k curves as figure-ready CSV
-    cost          mitigation cost curves vs normalized time
-    predict       predicted probability table for a gate at a given alpha
-    estimate      Re k estimation report from a device counts file
-    decompose     Gamma expansion of a recovery operator
+    gamma-check   algebra self-test of the 16-matrix basis       table json table
+    kernel        Re k / Im k curves as figure-ready CSV         csv   json csv
+    cost          mitigation cost curves vs normalized time      csv   json csv
+    predict       predicted probability table at a given alpha   csv   json table
+    estimate      Re k estimation report from a counts file      csv   json table
+    decompose     Gamma expansion of a recovery operator         table json table
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -196,6 +196,9 @@ def cmd_gamma_check(args, out) -> int:
 
 
 def _u_grid(u_max: float, steps: int):
+    """The u grid of kernel and cost: steps points from 0 to u_max."""
+    if not (0.0 < u_max < math.inf) or steps < 2:
+        raise NmqemError("--u-max must be finite and > 0 and --steps >= 2")
     grid = [u_max * i / (steps - 1) for i in range(steps)]
     if not math.isfinite(grid[-1]):  # u_max * (steps - 1) overflows
         raise NmqemError(f"the u grid overflows at --u-max {u_max} with --steps {steps}")
@@ -204,19 +207,30 @@ def _u_grid(u_max: float, steps: int):
 
 def _kernel_params(args, coupling: float) -> KernelParams:
     """One printed or quadrature curve's parameters: gamma0 is coupling / --wc-ts
-    unless --gamma0 gives it. Cannot raise once ``_check_usage`` has passed."""
+    unless --gamma0 gives it. Cannot raise once ``cmd_kernel``'s checks pass."""
     gamma0 = coupling / args.wc_ts if args.gamma0 is None else args.gamma0
     return KernelParams(gamma0=gamma0, delta0=args.delta0, wc_ts=args.wc_ts)
 
 
 def cmd_kernel(args, out) -> int:
+    if not 0.0 < args.wc_ts < math.inf:
+        raise NmqemError("--wc-ts must be finite and > 0")
+    if not 0.0 <= args.delta0 < math.inf:
+        raise NmqemError("--delta0 must be finite and >= 0")
+    if args.gamma0 is not None and not 0.0 <= args.gamma0 < math.inf:
+        raise NmqemError("--gamma0 must be finite and >= 0")
+    if not all(c < math.inf for c in args.coupling):
+        raise NmqemError("--gamma0 * --wc-ts (the coupling) must be finite")
+    if args.mode != "approx" and not all(c / args.wc_ts < math.inf for c in args.coupling):
+        raise NmqemError("--coupling / --wc-ts (gamma0) must be finite")
+    grid = _u_grid(args.u_max, args.steps)
     with_im = args.mode != "approx" and args.delta0 != 0.0
     header = ["coupling", "u", "re_k"] + (["im_k"] if with_im else [])
     rows = []
     for coupling in args.coupling:
         if args.mode != "approx":
             params = _kernel_params(args, coupling)
-        for u in _u_grid(args.u_max, args.steps):
+        for u in grid:
             if args.mode == "approx":
                 rows.append([coupling, u, re_k_approx(coupling, u)])
             else:
@@ -254,9 +268,10 @@ def _printed_cost(gate: str):
 def cmd_cost(args, out) -> int:
     cost_fn = _printed_cost(args.gate)
     header = ["coupling", "u", "alpha", "cost"]
+    grid = _u_grid(args.u_max, args.steps)
     rows = []
     for coupling in args.coupling:
-        for u in _u_grid(args.u_max, args.steps):
+        for u in grid:
             alpha = re_k_approx(coupling, u)
             if not math.isfinite(alpha):
                 raise NmqemError(f"alpha overflows at coupling={coupling}, u={u}")
@@ -434,10 +449,17 @@ def cmd_decompose(args, out) -> int:
 # ----------------------------------------------------------------------- main
 
 
+def _float(text: str) -> float:
+    """Every float option's type: -0 reads as 0, so it prints as 0, not -0."""
+    return float(text) + 0.0
+
+
+_float.__name__ = "float"  # the type's name in argparse's invalid-value error
+
+
 def _coupling_list(text: str):
     try:
-        # + 0.0: a coupling of -0 is 0, so it prints as 0 and not -0
-        values = [float(v) + 0.0 for v in text.split(",") if v.strip()]
+        values = [_float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad coupling list {text!r}")
     if not values or not all(0.0 <= v < math.inf for v in values):
@@ -470,23 +492,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("kernel", "decoherence function curves", cmd_kernel, "csv")
     p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
-    p.add_argument("--u-max", type=float, default=1.0)
+    p.add_argument("--u-max", type=_float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--mode", choices=("approx", "printed", "quadrature"), default="approx")
-    p.add_argument("--gamma0", type=float, default=None,
+    p.add_argument("--gamma0", type=_float, default=None,
                    help="override gamma0 (otherwise coupling / wc-ts)")
-    p.add_argument("--delta0", type=float, default=0.0)
-    p.add_argument("--wc-ts", type=float, default=10.0)
+    p.add_argument("--delta0", type=_float, default=0.0)
+    p.add_argument("--wc-ts", type=_float, default=10.0)
 
     p = add_parser("cost", "mitigation cost curves", cmd_cost, "csv")
     p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
-    p.add_argument("--u-max", type=float, default=1.0)
+    p.add_argument("--u-max", type=_float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
 
     p = add_parser("predict", "predicted probability table", cmd_predict, "table")
     p.add_argument("--gate", choices=GATES, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_float, required=True)
 
     p = add_parser("estimate", "estimate Re k from a counts file", cmd_estimate, "json")
     p.add_argument("--counts", required=True, help="path to a counts JSON file")
@@ -494,27 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("decompose", "Gamma expansion of a recovery operator", cmd_decompose, "table")
     p.add_argument("--gate", choices=GATES, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_float, required=True)
 
     return parser
-
-
-def _check_usage(args):
-    """Usage-level validation beyond argparse; raises NmqemError."""
-    if args.command in ("kernel", "cost"):
-        if not (0.0 < args.u_max < math.inf) or args.steps < 2:
-            raise NmqemError("--u-max must be finite and > 0 and --steps >= 2")
-    if args.command == "kernel":
-        if not 0.0 < args.wc_ts < math.inf:
-            raise NmqemError("--wc-ts must be finite and > 0")
-        if not 0.0 <= args.delta0 < math.inf:
-            raise NmqemError("--delta0 must be finite and >= 0")
-        if args.gamma0 is not None and not 0.0 <= args.gamma0 < math.inf:
-            raise NmqemError("--gamma0 must be finite and >= 0")
-        if not all(c < math.inf for c in args.coupling):
-            raise NmqemError("--gamma0 * --wc-ts (the coupling) must be finite")
-        if args.mode != "approx" and not all(c / args.wc_ts < math.inf for c in args.coupling):
-            raise NmqemError("--coupling / --wc-ts (gamma0) must be finite")
 
 
 def _is_number(token: str) -> bool:
@@ -561,7 +565,6 @@ def main(argv=None) -> int:
     # alone picks the exit code.
     buffer = io.StringIO()
     try:
-        _check_usage(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             code = args.func(args, buffer)

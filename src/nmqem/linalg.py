@@ -29,8 +29,8 @@ __all__ = [
 _ALLOWED_SHAPES = {(2, 2), (4, 4), (16, 16)}
 
 # Relative determinant threshold below which inversion refuses to proceed.
-# The physical transfer matrices become exactly singular at alpha = 1/4 and
-# 1/2, and we want a loud failure there instead of amplified noise.
+# The population transfer matrices become exactly singular at alpha = 1/4
+# (channel.ALPHA_MAX), and we want a loud failure there, not amplified noise.
 SINGULARITY_THRESHOLD = 1e-10
 
 

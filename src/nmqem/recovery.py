@@ -38,9 +38,8 @@ Costs come in two kinds:
   weight |D| where the printed combination counts it twice) and is reported
   as a separate diagnostic, never silently substituted.
 
-Domain is alpha in [0, 0.25): both channel determinants have their first
-root at 1/4, beyond which the quasi-probability reading of the expansion
-breaks down.
+The domain is channel's ``ALPHA_MAX``, alpha in [0, 1/4), where the map has
+a finite inverse; its reason is stated there, beside the map's Pauli form.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import warnings
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import _CHANNEL, AlphaOutOfRange, Channel, NmqemError
+from .channel import _CHANNEL, ALPHA_MAX, AlphaOutOfRange, Channel, NmqemError
 from .linalg import CMat, det, identity, mat_inv, mat_mul
 
 __all__ = [
@@ -68,8 +67,6 @@ __all__ = [
     "recovery_op",
 ]
 
-ALPHA_MAX = 0.25
-
 _DENOM_EPS = 1e-9
 
 
@@ -85,6 +82,12 @@ def _check_alpha(alpha: float):
 def _check_denominator(den: float, alpha: float):
     if abs(den) < _DENOM_EPS:
         raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
+
+
+def _check_domain(gate: str, alpha: float):
+    """alpha in [0, ALPHA_MAX), then the gate's channel determinant clear of 0."""
+    _check_alpha(alpha)
+    _check_denominator(_determinant(gate, alpha), alpha)
 
 
 def _table(terms) -> tuple:
@@ -152,8 +155,7 @@ _RECORD = {"swap": (("B", 1), ("C", 0), ("D", 2), ("E", 5)),
 
 def _closed_form(gate: str, alpha: float) -> tuple:
     """The gate's record in ``_RECORD``'s order, the entries recovery_op reads."""
-    _check_alpha(alpha)
-    _check_denominator(_determinant(gate, alpha), alpha)
+    _check_domain(gate, alpha)
     columns = _TABLE[gate][1]
     return tuple(_resolvent([columns[k] for _, k in _RECORD[gate]], alpha))
 
@@ -219,16 +221,14 @@ def cost_swap(alpha: float) -> float:
     """Mitigation cost |C+E|/2 + |C-E|/2 + 3|B| + |D| for the SWAP gate. On
     [0, 1/4), C - E = -a/((1-2a)(1-4a)) <= 0, B <= 0 and D >= 0, so it is
     E - 3B + D = (1 - 2a^2)/((1-2a)(1-4a))."""
-    _check_alpha(alpha)
-    _check_denominator(_determinant("swap", alpha), alpha)
+    _check_domain("swap", alpha)
     return (1.0 - 2.0 * alpha * alpha) / ((1.0 - 2.0 * alpha) * (1.0 - 4.0 * alpha))
 
 
 def cost_id(alpha: float) -> float:
     """Mitigation cost |F| + |G| + 2|H| for the Identity gate; equals
     1/(1-4a) on the whole domain."""
-    _check_alpha(alpha)
-    _check_denominator(_determinant("identity", alpha), alpha)
+    _check_domain("identity", alpha)
     return 1.0 / (1.0 - 4.0 * alpha)
 
 

@@ -102,6 +102,11 @@ def cli_cases() -> dict:
                     "cost", "--gate", gate, "--coupling", coupling, "--u-max", "1", "--steps", "2",
                     "--format", fmt]
     cases["kernel-coupling-negative-zero"] = ["kernel", "--coupling", "-0", "--steps", "2"]
+    # every float option reads -0 as 0; argparse names the type in its error
+    cases["kernel-gamma0-negative-zero"] = ["kernel", "--gamma0", "-0", "--steps", "2"]
+    cases["decompose-alpha-negative-zero-json"] = [
+        "decompose", "--gate", "identity", "--alpha", "-0", "--format", "json"]
+    cases["predict-alpha-not-a-number"] = ["predict", "--gate", "swap", "--alpha", "abc"]
     # Identity's two costs, equal in exact arithmetic and about 8.3e7, a last-ulp apart
     cases["decompose-identity-equal-costs"] = ["decompose", "--gate", "identity", "--alpha", "0.249999997"]
     return cases

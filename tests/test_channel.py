@@ -13,6 +13,7 @@ from nmqem.channel import (
     _CHANNEL,
     _PREDICT_PLAN,
     _weights,
+    ALPHA_CP,
     GATES,
     AlphaOutOfRange,
     Basis4,
@@ -298,24 +299,35 @@ class TestPopulationChannel:
             ch = population_channel(gate, alpha)
             assert all(v >= 0 for row in ch.matrix for v in row), alpha
 
-    def test_swap_block_is_an_affine_extension_past_one_third(self):
-        # SWAP's m2 -> m2 and m4 -> m4 entries are 1 - 3 alpha; Identity's
-        # diagonal is 1 - 2 alpha, so its block stays nonnegative to 1/2
-        ch = population_channel("swap", 0.4)
-        assert min(v for row in ch.matrix for v in row) == pytest.approx(-0.2, abs=1e-15)
+    def test_swap_block_reaches_zero_at_one_third(self):
+        # SWAP's m2 -> m2 and m4 -> m4 entries are 1 - 3 alpha = p_I, exactly 0
+        # at the end of the domain; at 0.4, where they would be -0.2, and
+        # anywhere past 1/3, the map is not completely positive and is refused
+        ch = population_channel("swap", ALPHA_CP)
+        assert (ch.matrix[1][1], ch.matrix[3][3]) == (0.0, 0.0)
+        assert min(v for row in ch.matrix for v in row) == 0.0
         assert [sum(ch.column(j)) for j in range(4)] == pytest.approx([1.0] * 4, abs=1e-15)
-        assert all(v >= 0 for row in population_channel("identity", 0.4).matrix for v in row)
+        for gate in GATES:
+            with pytest.raises(AlphaOutOfRange):
+                population_channel(gate, 0.4)
 
     def test_alpha_domain(self):
-        with pytest.raises(AlphaOutOfRange):
-            population_channel("swap", -0.01)
-        with pytest.raises(AlphaOutOfRange):
-            population_channel("swap", 0.5)
-        population_channel("swap", 0.49)  # in domain
+        # the map's domain [0, 1/3] is one check that both forward readers
+        # share: the ends are in, the adjacent floats out, with one text
+        assert ALPHA_CP == 1.0 / 3.0
+        for gate in GATES:
+            for read in (population_channel, predict_table):
+                read(gate, 0.0)
+                read(gate, ALPHA_CP)
+                for bad in (math.nextafter(ALPHA_CP, 1.0), -5e-324, -0.01, 0.5):
+                    with pytest.raises(AlphaOutOfRange) as info:
+                        read(gate, bad)
+                    assert str(info.value) == f"alpha={bad} outside [0, 1/3]"
 
     def test_unknown_gate(self):
-        with pytest.raises(ValueError):
-            population_channel("cz", 0.1)
+        for read in (population_channel, predict_table):
+            with pytest.raises(ValueError, match="^unknown gate 'cz'$"):
+                read("cz", 0.1)
 
 
 def derived_rate_matrix(basis):
@@ -359,13 +371,14 @@ class TestPauliErrorForm:
 
 
 def channel_alphas():
-    """A grid over [0, 0.5) with points packed on both sides of 1/4."""
+    """A grid over the map's domain [0, 1/3], 1/3 included, with points
+    packed on both sides of 1/4."""
     rng = random.Random(20231)
-    grid = [i / 1000 for i in range(500)]
+    grid = [i / 1000 for i in range(334)] + [ALPHA_CP]
     grid += [0.25 - 2.0 ** -e for e in range(3, 54)]
-    grid += [0.25 + 2.0 ** -e for e in range(3, 54)]
+    grid += [0.25 + 2.0 ** -e for e in range(4, 54)]
     grid += [math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0)]
-    grid += [rng.uniform(0.0, 0.5) for _ in range(500)]
+    grid += [rng.uniform(0.0, ALPHA_CP) for _ in range(500)]
     return grid
 
 

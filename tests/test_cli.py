@@ -525,6 +525,8 @@ BOUNDARY_CASES = {
         ["decompose", "--gate", "swap", "--alpha", "0.2499999999", "--format", "json"], 2),
     "kernel-wc-ts-zero": (["kernel", "--mode", "printed", "--wc-ts", "0"], 2),
     "kernel-wc-ts-negative": (["kernel", "--mode", "printed", "--wc-ts", "-1"], 2),
+    # two errors: kernel's own flags are checked before the u grid
+    "kernel-wc-ts-and-u-max-zero": (["kernel", "--wc-ts", "0", "--u-max", "0"], 2),
     "kernel-u-max-nan": (["kernel", "--u-max", "nan"], 2),
     "kernel-quadrature-u-max-nan": (["kernel", "--mode", "quadrature", "--u-max", "nan"], 2),
     "cost-out-missing-dir": (["cost", "--gate", "swap", "--out", "{tmp}/missing/x.csv"], 3),

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -102,12 +103,23 @@ class TestClosedForms:
         # 2 l per nonzero eigenvalue l of R, with multiplicities tr P_1, tr P_2
         assert _FACTORS == {"swap": (2.0, 4.0, 4.0), "identity": (2.0, 2.0, 4.0)}
 
+    @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
     def test_alpha_domain(self):
-        for bad in (-0.01, 0.25, 0.3):
+        # [0, 1/4), channel's ALPHA_MAX: 1/4 itself is out of range, and the
+        # float below it is refused by the determinant check, except by the LU
+        # oracle, which has none
+        assert ALPHA_MAX is channel.ALPHA_MAX
+        readers = [closed_form_swap, closed_form_id, cost_swap, cost_id, swap_recovery_matrix,
+                   id_recovery_matrix] + [functools.partial(recovery_op, gate) for gate in GATES]
+        for read in readers:
+            for bad in (-5e-324, -0.01, ALPHA_MAX, 0.3):
+                with pytest.raises(AlphaOutOfRange, match=rf"^alpha={bad} outside \[0, 0\.25\)$"):
+                    read(bad)
+            with pytest.raises(DenominatorNearZero):
+                read(math.nextafter(ALPHA_MAX, 0.0))
+        for gate in GATES:
             with pytest.raises(AlphaOutOfRange):
-                closed_form_swap(bad)
-            with pytest.raises(AlphaOutOfRange):
-                closed_form_id(bad)
+                recovery_numeric(population_channel(gate, ALPHA_MAX))
 
     def test_single_alpha_error_class(self):
         assert AlphaOutOfRange is channel.AlphaOutOfRange
