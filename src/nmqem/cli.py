@@ -35,6 +35,10 @@ EXIT_SELF_CHECK = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
+# kernel's and cost's default couplings; ``_parse_args`` tells kernel's
+# default from a --coupling list by identity
+_DEFAULT_COUPLINGS = (7e-4, 7e-3)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
@@ -491,18 +495,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser("gamma-check", "verify the 16-matrix algebra", cmd_gamma_check, "table")
 
     p = add_parser("kernel", "decoherence function curves", cmd_kernel, "csv")
-    p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
+    p.add_argument("--coupling", type=_coupling_list, default=_DEFAULT_COUPLINGS)
     p.add_argument("--u-max", type=_float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--mode", choices=("approx", "printed", "quadrature"), default="approx")
     p.add_argument("--gamma0", type=_float, default=None,
-                   help="override gamma0 (otherwise coupling / wc-ts)")
+                   help="gamma0, in place of --coupling (otherwise coupling / wc-ts)")
     p.add_argument("--delta0", type=_float, default=0.0)
     p.add_argument("--wc-ts", type=_float, default=10.0)
 
     p = add_parser("cost", "mitigation cost curves", cmd_cost, "csv")
     p.add_argument("--gate", choices=GATES, required=True)
-    p.add_argument("--coupling", type=_coupling_list, default=(7e-4, 7e-3))
+    p.add_argument("--coupling", type=_coupling_list, default=_DEFAULT_COUPLINGS)
     p.add_argument("--u-max", type=_float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
 
@@ -546,25 +550,27 @@ def _join_negative_values(argv):
 
 
 def _parse_args(argv):
-    """argv as ``main`` reads it: ``kernel --gamma0`` sets the one coupling."""
+    """argv as ``main`` reads it: ``kernel --gamma0`` sets the one coupling,
+    gamma0 * wc_ts, and refuses a --coupling list beside it."""
     args = build_parser().parse_args(_join_negative_values(argv))
     if args.command == "kernel" and args.gamma0 is not None:
+        if args.coupling is not _DEFAULT_COUPLINGS:
+            raise NmqemError("--gamma0 sets the coupling (gamma0 * wc_ts); give it or --coupling, not both")
         args.coupling = [args.gamma0 * args.wc_ts]
     return args
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-
     # Output is buffered so that a failing command prints nothing and leaves
     # no --out file behind. Warnings are reported as one line each once the
     # command has succeeded; a failure reports only its error, and its class
     # alone picks the exit code.
     buffer = io.StringIO()
     try:
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
+        except SystemExit as exc:  # argparse printed the help or its usage error
+            return EXIT_USAGE if exc.code not in (0, None) else 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             code = args.func(args, buffer)

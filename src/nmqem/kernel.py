@@ -12,9 +12,12 @@ Three evaluators are exposed on purpose:
 
 Both closed forms are evaluated exactly through F(x) = x Si(x) + cos x - 1,
 the integral of Si from 0 to x, with x = wc' u. Re k and Im k share one
-Si(x) per point: a Taylor series below x = 4, a continued fraction summed
-bottom-up at a fixed depth above. The two readings differ in two explicit
-identities, which the tests pin:
+Si(x) per point, at a fixed cost below x = 16.5: one Horner polynomial per
+unit cell [j - 1/2, j + 1/2), Si's degree-16 Taylor polynomial about the
+node j, with coefficients derived at import from Si(j) and the recurrence of
+sin t / t, and below 1/2 a Maclaurin polynomial in x^2. From 16.5 on, a
+continued fraction summed bottom-up at a fixed depth. The two readings
+differ in two explicit identities, which the tests pin:
 
 * Im k_printed = -Im k_quadrature (opposite sign);
 * Re k_printed = (4 / pi^2) Re k_quadrature + gamma0 (wc' - 1) u
@@ -60,27 +63,26 @@ class KernelParams:
         return self.gamma0 * self.wc_ts
 
 
-_SI_SWITCH = 4.0
-
-
 def _si_taylor(x: float) -> float:
-    # sum_{n>=0} (-1)^n x^(2n+1) / ((2n+1) (2n+1)!)
-    term = x
-    total = x
+    # sum_{n>=0} (-1)^n x^(2n+1) / ((2n+1) (2n+1)!) over its terms down to
+    # 1e-18, added without intermediate rounding (fsum); it gives the table's
+    # nodes Si(1), Si(2) and Si(3)
+    term = x  # (-1)^n x^(2n+1) / (2n+1)!
+    terms = []
     n = 0
     while abs(term) > 1e-18:
+        terms.append(term / (2 * n + 1))
         n += 1
         term *= -x * x / ((2 * n) * (2 * n + 1))
-        total += term / (2 * n + 1)
-        # 'term' tracks x^(2n+1)/(2n+1)!; the 1/(2n+1) factor applies per sum
-    return total
+    return math.fsum(terms)
 
 
 def _si_continued_fraction(x: float) -> float:
     # Si(x) = pi/2 + Im[e^(-ix) / t] with t = 1 + ix - 1/(3 + ix - 4/(5 + ix
     # - ...)), the even form of DLMF 6.9.1 for E1(ix) e^(ix), summed bottom-up
     # from a fixed depth N: t = 2N + 1 + ix, then t = 2n - 1 + ix - n^2 / t
-    # for n = N..1. N = 8 + floor(200 / x) reaches 2.2e-16 against mpmath on
+    # for n = N..1. It serves x >= _SI_TOP and the table's nodes Si(4) ...
+    # Si(16). N = 8 + floor(200 / x) reaches 2.2e-16 against mpmath on
     # (4, 50] and on log-uniform x up to 1e15; so does the shallower
     # 6 + floor(150 / x), while 4 + floor(120 / x) misses by 2.5e-14.
     n = 8 + int(200.0 / x)
@@ -91,12 +93,70 @@ def _si_continued_fraction(x: float) -> float:
     return 0.5 * math.pi + (complex(math.cos(x), -math.sin(x)) / t).imag
 
 
+def _horner(coefficients, h: float) -> float:
+    # the polynomial with these coefficients, highest power first, at h
+    total = 0.0
+    for c in coefficients:
+        total = total * h + c
+    return total
+
+
+# Si below _SI_TOP in constant time, one polynomial per interval:
+# * [0, 1/2): x + x^3 P(x^2), the Maclaurin series of Si cut after
+#   _SMALL_TERMS terms, which keeps Si's relative precision at tiny x;
+# * [j - 1/2, j + 1/2) for j = 1 .. _SI_NODES: the degree-_SI_DEGREE Taylor
+#   polynomial of Si about the node j, in h = x - j (see _si_cell).
+# Each is its first term plus a correction, so the last addition rounds
+# once; the terms left out weigh less than 1e-20 of Si.
+_SMALL_TERMS = 8
+_SI_DEGREE = 16
+_SI_NODES = 16
+_SI_TOP = _SI_NODES + 0.5
+
+
+def _series_tail(denominator) -> tuple:
+    # sum_{0 < n < _SMALL_TERMS} (-1)^n y^(n-1) / denominator(n) as Horner
+    # coefficients in y = x^2, highest power first: a series in x^2 past its
+    # first term, which is 1 / denominator(0)
+    return tuple((-1) ** n / denominator(n) for n in range(_SMALL_TERMS - 1, 0, -1))
+
+
+def _si_cell(j: int) -> tuple:
+    """Horner coefficients, highest power first, of Si(j + h) to order
+    h^_SI_DEGREE. With f(t) = sin t / t, Si(j + h) = Si(j) + sum_{n>=0}
+    a_n h^(n+1) / (n + 1), where a_n = f^(n)(j) / n!. Differentiating
+    t f(t) = sin t n times gives t f^(n) + n f^(n-1) = sin(t + n pi/2), so
+    a_n = (sin(j + n pi/2) / n! - a_(n-1)) / j from a_0 = sin(j) / j; an
+    error in a_(n-1) enters a_n divided by j. The node Si(j) comes from the
+    series below 4 and from the continued fraction from 4 on."""
+    s, c = math.sin(j), math.cos(j)
+    sines = (s, c, -s, -c)  # sin(j + n pi/2) for n mod 4
+    a = s / j
+    factorial = 1.0
+    coefficients = [_si_taylor(j) if j < 4 else _si_continued_fraction(j), a]
+    for n in range(1, _SI_DEGREE):
+        factorial *= n
+        a = (sines[n % 4] / factorial - a) / j
+        coefficients.append(a / (n + 1))
+    return tuple(reversed(coefficients))
+
+
+# sum (-1)^n x^(2n+1) / ((2n+1) (2n+1)!) = x + x^3 P(x^2)
+_SI_SMALL = _series_tail(lambda n: (2 * n + 1) * math.factorial(2 * n + 1))
+# _SI_CELLS[j] for the cell [j - 1/2, j + 1/2); index 0 is unused
+_SI_CELLS = (None,) + tuple(_si_cell(j) for j in range(1, _SI_NODES + 1))
+
+
 def si_standard(x: float) -> float:
     """The standard sine integral: integral of sin(t)/t from 0 to x."""
     if not 0.0 <= x < math.inf:
         raise ValueError("si_standard requires finite x >= 0")
-    if x < _SI_SWITCH:
-        return _si_taylor(x)
+    if x < 0.5:
+        y = x * x
+        return x + x * y * _horner(_SI_SMALL, y)
+    if x < _SI_TOP:
+        j = int(x + 0.5)
+        return _horner(_SI_CELLS[j], x - j)
     return _si_continued_fraction(x)
 
 
@@ -118,21 +178,19 @@ def re_k_approx(coupling: float, u: float) -> float:
     return (2.0 / math.pi) * coupling * (0.5 * math.pi * u + 0.5 * u * u)
 
 
+# sum (-1)^n x^(2n+2) / ((2n+1) (2n+2)!) = x^2/2 + x^4 Q(x^2), F(x) below 1/2
+_F_SMALL = _series_tail(lambda n: (2 * n + 1) * math.factorial(2 * n + 2))
+
+
 def _si_integral(x: float, si: float) -> float:
     # F(x) = x Si(x) + cos x - 1, the integral of Si over [0, x], given
-    # si = Si(x). The closed form cancels for small x, so there the series
-    # sum_{n>=0} (-1)^n x^(2n+2) / ((2n+1) (2n+2)!) = x^2/2 - x^4/72 + ...
-    # is summed instead.
+    # si = Si(x). The closed form cancels for small x, so below 1/2 the
+    # series x^2/2 - x^4/72 + ... is evaluated instead, cut after
+    # _SMALL_TERMS terms.
     if x >= 0.5:
         return x * si + math.cos(x) - 1.0
-    term = 0.5 * x * x  # x^(2n+2) / (2n+2)!
-    total = term
-    n = 0
-    while abs(term) > 1e-18 * total:
-        n += 1
-        term *= -x * x / ((2 * n + 1) * (2 * n + 2))
-        total += term / (2 * n + 1)
-    return total
+    y = x * x
+    return 0.5 * y + y * y * _horner(_F_SMALL, y)
 
 
 def _si_point(p: KernelParams, u: float):

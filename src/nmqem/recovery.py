@@ -208,12 +208,15 @@ def recovery_numeric(ch: Channel) -> CMat:
     """Numeric channel inverse by LU; R V = I to working precision. An
     oracle for ``recovery_op``, which nothing in the package calls.
 
-    Emits a warning when the channel determinant is close to its alpha = 1/4
-    root, where the inverse entries blow up.
+    Checks in ``recovery_op``'s order, on the determinant of its own LU:
+    warns when it is close to its alpha = 1/4 root, where the inverse
+    entries blow up, and then raises DenominatorNearZero below 1e-9.
     """
     _check_alpha(ch.alpha)
     m = ch.to_cmat()
-    _warn_if_nearly_singular(det(m), ch.alpha)
+    den = det(m).real  # V is real, so its LU determinant is too
+    _warn_if_nearly_singular(den, ch.alpha)
+    _check_denominator(den, ch.alpha)
     return mat_inv(m)
 
 

@@ -5,7 +5,10 @@
 Run it only on purpose: the diff it leaves in ``tests/golden/`` is the list
 of output changes a commit makes, byte for byte and bit for bit. It prints
 the key of each CLI case and digest block whose content changed, one per
-line, as "changed <key>", "added <key>" or "removed <key>".
+line, as "changed <key>", "added <key>" or "removed <key>". A changed entry
+whose text differs only in its numbers is sized: "changed k_printed/a: 14
+values, max 3 ulp" counts the numbers that moved and gives the largest move
+in units in the last place of a double.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import io
 import json
 import math
 import random
+import re
+import struct
 import sys
 import tempfile
 import warnings
@@ -46,9 +51,9 @@ README_ARGV = {
     "estimate-gate": ["estimate", "--counts", "{fixtures}/table3_ibm_swap.json", "--gate", "{gate}"],
     "decompose": ["decompose", "--gate", "{gate}", "--alpha", "0.05"],
 }
-# Three kernel parameter sets: Si's series and continued-fraction branches
-# (wc_ts * u up to 10), the series alone (up to 3) and mostly the continued
-# fraction (up to 120) with no Im k column.
+# Three kernel parameter sets: Si's small-x polynomial and the cells of its
+# table (wc_ts * u up to 10), the same below 3, and mostly the continued
+# fraction above the table's top at 16.5 (up to 120) with no Im k column.
 KERNEL_PARAMS = {
     "a": ["--gamma0", "1", "--wc-ts", "10", "--delta0", "0.5", "--steps", "26"],
     "b": ["--coupling", "7e-3", "--wc-ts", "3", "--delta0", "0.2", "--steps", "21"],
@@ -325,11 +330,41 @@ def sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def changed_keys(old: dict, new: dict) -> list:
+# A number as the corpus writes it: float.hex in the digest, repr or
+# 10 significant digits in the CLI's output.
+_NUMBER = re.compile(r"-?0x[0-9a-f]+\.[0-9a-f]*p[-+]\d+|-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|-?inf|nan")
+
+
+def _ordinal(v: float) -> int:
+    """v's position among the doubles, with -0.0 and 0.0 at 0."""
+    i = struct.unpack("<q", struct.pack("<d", v))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def moved(old: str, new: str) -> str:
+    """How many numbers differ between two texts and the largest difference
+    in ulp, or a note that the text around the numbers differs."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "text changed"
+    parse = (lambda t: float.fromhex(t) if "x" in t else float(t))
+    ulps = [abs(_ordinal(parse(a)) - _ordinal(parse(b)))
+            for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)) if a != b]
+    return f"{len(ulps)} value{'s' * (len(ulps) != 1)}, max {max(ulps, default=0)} ulp"
+
+
+def changed_keys(old: dict, new: dict, text=None) -> list:
     """"<status> <key>" for each entry that differs between two versions of
-    the corpus: changed, added or removed."""
-    return [f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
-            for key in {**old, **new} if old.get(key) != new.get(key)]
+    the corpus: changed, added or removed. With ``text``, which reads an
+    entry's text or None, a changed entry is sized by ``moved``."""
+    lines = []
+    for key in {**old, **new}:
+        if old.get(key) == new.get(key):
+            continue
+        line = f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
+        if key in old and key in new and text and text(old[key]) is not None:
+            line += f": {moved(text(old[key]), text(new[key]))}"
+        lines.append(line)
+    return lines
 
 
 def regenerate():
@@ -344,7 +379,9 @@ def regenerate():
     digest = {name: {"sha256": sha256(lines), "hex": lines} for name, lines in digest_blocks().items()}
     digest.update((name, {"sha256": sha256(lines)}) for name, lines in hashed_blocks().items())
     DIGEST_PATH.write_text(json.dumps(digest, indent=1) + "\n")
-    for line in changed_keys(old_cli, cli) + changed_keys(old_digest, digest):
+    cli_text = (lambda r: f"{r['exit']}\n{r['stdout']}\n{r['stderr']}")
+    digest_text = (lambda block: "\n".join(block["hex"]) if "hex" in block else None)
+    for line in changed_keys(old_cli, cli, cli_text) + changed_keys(old_digest, digest, digest_text):
         print(line)
 
 

@@ -151,6 +151,13 @@ class TestKernel:
         want = [k(params, u).real.hex() for u in (0.0, 0.5, 1.0)]
         assert [row["re_k"].hex() for row in rows] == want
 
+    @pytest.mark.parametrize("coupling", ["5", "7e-4,7e-3"])  # the second is the default's value
+    def test_gamma0_with_coupling_is_a_usage_error(self, coupling, capsys):
+        code, out, err = run_cli(["kernel", "--gamma0", "0.001", "--coupling", coupling, "--steps", "2"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --gamma0 sets the coupling (gamma0 * wc_ts); give it or --coupling, not both\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             ["kernel", "--format", "json", "--steps", "3", "--coupling", "7e-4"],
@@ -538,6 +545,8 @@ BOUNDARY_CASES = {
     "kernel-printed-coupling-overflow": (
         ["kernel", "--mode", "printed", "--coupling", "1e308", "--wc-ts", "1e-308"], 2),
     "kernel-approx-gamma0-overflow": (["kernel", "--gamma0", "1e308"], 2),
+    # --gamma0 sets the one coupling, so a --coupling beside it is refused
+    "kernel-gamma0-with-coupling": (["kernel", "--gamma0", "0.001", "--coupling", "5", "--steps", "2"], 2),
     # finite gamma0 and coupling whose Re k overflows
     "kernel-quadrature-re-k-overflow": (
         ["kernel", "--mode", "quadrature", "--gamma0", "1e307", "--steps", "3"], 2),

@@ -52,14 +52,16 @@ def argvs(draw):
     argv = [command]
     if command == "cost":
         argv += ["--gate", draw(st.sampled_from(("swap", "identity")))]
-    argv += ["--coupling", ",".join(draw(st.lists(numbers(), min_size=1, max_size=2)))]
+    # kernel's --gamma0 sets the one coupling and refuses a --coupling beside it
+    if command == "kernel" and draw(st.booleans()):
+        argv += ["--gamma0", draw(numbers())]
+    else:
+        argv += ["--coupling", ",".join(draw(st.lists(numbers(), min_size=1, max_size=2)))]
     argv += ["--u-max", draw(numbers())]
     argv += ["--steps", str(draw(st.integers(min_value=-1, max_value=20)))]
     if command == "kernel":
         argv += ["--mode", draw(st.sampled_from(("approx", "printed", "quadrature")))]
         argv += ["--wc-ts", draw(numbers()), "--delta0", draw(numbers())]
-        if draw(st.booleans()):
-            argv += ["--gamma0", draw(numbers())]
     argv += ["--format", draw(st.sampled_from(("csv", "json", "table")))]
     return argv, draw(st.booleans())
 

@@ -56,3 +56,13 @@ def test_digest(name, blocks):
 def test_changed_keys_names_each_difference():
     old, new = {"a": 1, "b": 2, "c": 3}, {"a": 1, "b": 4, "d": 5}
     assert regen.changed_keys(old, new) == ["changed b", "removed c", "added d"]
+
+
+def test_changed_keys_sizes_each_moved_entry():
+    one_ulp = (1.0).hex(), (1.0 + 2.0 ** -52).hex()
+    old = {"a": f"x {one_ulp[0]} 0.1,-0.0", "b": "x 2", "c": "0.1"}
+    new = {"a": f"x {one_ulp[1]} 0.10000000000000003,0.0", "b": "y 2", "c": "0.1"}
+    assert regen.changed_keys(old, new, text=str) == [
+        "changed a: 3 values, max 2 ulp", "changed b: text changed"]
+    # a zero that changes sign moves by no ulp, but its text moved
+    assert regen.moved("-0.0 inf nan", "0.0 inf nan") == "1 value, max 0 ulp"

@@ -61,9 +61,17 @@ class TestSineIntegral:
         assert abs(si_shifted(1e6)) < 1e-5
 
     def test_continuity_at_branch_switch(self):
-        below = si_standard(4.0 - 1e-9)
-        above = si_standard(4.0 + 1e-9)
-        assert abs(below - above) < 1e-8
+        # Si switches polynomial at 1/2, at every cell edge j + 1/2 and, at
+        # the table's top, to the continued fraction; at adjacent floats the
+        # two sides agree to within Si's slope (<= 1) times the gap, plus
+        # the few ulp that each side may be off by
+        edges = [j + 0.5 for j in range(int(kernel._SI_TOP) + 1)]
+        assert edges[0] == 0.5 and edges[-1] == kernel._SI_TOP
+        for edge in edges:
+            below = math.nextafter(edge, 0.0)
+            gap = abs(si_standard(edge) - si_standard(below))
+            assert gap <= (edge - below) + 4 * math.ulp(si_standard(edge)), edge
+        assert abs(si_standard(4.0 - 1e-9) - si_standard(4.0 + 1e-9)) < 1e-8
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -177,8 +185,9 @@ class TestOneSineIntegralPerPoint:
 
     @pytest.mark.parametrize("evaluator", [k_printed, k_quadrature], ids=["printed", "quadrature"])
     @pytest.mark.parametrize("delta0", [0.0, 0.5])
-    # x = wc' u = 0.3, 2 and 9: the series of F, then Si's series and its tail
-    @pytest.mark.parametrize("u", [0.03, 0.2, 0.9])
+    # x = wc' u = 0.3, 2, 9 and 20: the series of F and Si's small-x
+    # polynomial, then two cells of Si's table, then its continued fraction
+    @pytest.mark.parametrize("u", [0.03, 0.2, 0.9, 2.0])
     def test_one_call(self, evaluator, delta0, u, monkeypatch):
         calls = []
 

@@ -7,15 +7,18 @@ import random
 
 import pytest
 
+from nmqem import kernel
 from nmqem.kernel import KernelParams, k_printed, k_quadrature, si_standard
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
 
-# (gamma0, delta0, wc_ts, u): both sides of x = wc_ts u = 1/2 (series switch
-# of the Si integral) and of x = 4 (series switch of Si), the two inputs where
-# the earlier nested quadrature missed its 1e-10 tolerance, then x just above
-# 4, where Si's continued fraction is deepest, and x = 40, where it is shallow.
+# (gamma0, delta0, wc_ts, u): both sides of x = wc_ts u = 1/2 (where the Si
+# integral and Si leave their small-x polynomials) and of x = 4 (once the
+# switch from Si's series to its continued fraction, now the node of a cell
+# of Si's table), the two inputs where the earlier nested quadrature missed
+# its 1e-10 tolerance, then x just above 4, and x = 40, above the table's top,
+# where the continued fraction is shallow.
 KERNEL_CASES = [
     (1.0, 0.5, 10.0, 0.049),
     (1.0, 0.5, 10.0, 0.051),
@@ -75,14 +78,48 @@ def test_si_against_mpmath():
     for i in range(1, 5001):
         x = 50.0 * i / 5000 - 0.00123  # off the grid of round numbers
         worst = max(worst, abs(si_standard(x) - float(mpmath.si(x))))
-    assert worst <= 2e-15
+    assert worst <= 1e-15
 
 
 def test_si_continued_fraction_against_mpmath():
-    # dense just above the switch at 4, where the fixed depth is largest, and
-    # log-uniform over the rest of the continued fraction's range up to 1e15
+    # dense just above 4, where the fixed depth is largest, and log-uniform
+    # up to 1e15; si_standard reads the table below its top at 16.5, so the
+    # continued fraction, which gives the table's nodes from 4 on, is also
+    # checked on its own
     rng = random.Random(15)
     xs = [4.0 + 0.1 * i / 2000 for i in range(1, 2001)]
     xs += [math.exp(rng.uniform(math.log(4.0), math.log(1e15))) for _ in range(2000)]
-    worst = max(abs(si_standard(x) - float(mpmath.si(x))) for x in xs)
-    assert worst <= 2e-15
+    for si in (si_standard, kernel._si_continued_fraction):
+        worst = max(abs(si(x) - float(mpmath.si(x))) for x in xs)
+        assert worst <= 1e-15, si
+
+
+def test_si_cells_against_mpmath_taylor():
+    # each cell's coefficients against mpmath's Taylor coefficients of Si
+    # about its node j: the node within an ulp, and the rest moving Si at
+    # the cell's edge |h| = 1/2 by at most 2^-55, half an ulp of Si(1/2)
+    assert kernel._SI_DEGREE == 16
+    for j in range(1, len(kernel._SI_CELLS)):
+        ours = kernel._SI_CELLS[j][::-1]  # lowest power first
+        exact = mpmath.taylor(mpmath.si, j, kernel._SI_DEGREE)
+        assert len(ours) == len(exact)
+        assert abs(ours[0] - exact[0]) <= math.ulp(ours[0]), j
+        drift = sum(abs(c - e) * mpmath.mpf(2) ** -n for n, (c, e) in enumerate(zip(ours, exact)) if n)
+        assert drift <= 2.0 ** -55, j
+
+
+@pytest.mark.parametrize(
+    "tail, first, f",
+    [
+        (kernel._SI_SMALL, 1, mpmath.si),
+        (kernel._F_SMALL, 2, lambda x: x * mpmath.si(x) + mpmath.cos(x) - 1),
+    ],
+    ids=["si", "si_integral"],
+)
+def test_small_x_series_against_mpmath_taylor(tail, first, f):
+    # the coefficients past the first term of x + x^3 P(x^2) (Si) and of
+    # x^2/2 + x^4 Q(x^2) (its integral), each within half an ulp
+    exact = mpmath.taylor(f, 0, first + 2 * len(tail))
+    for n, c in enumerate(tail[::-1], start=1):
+        e = exact[first + 2 * n]
+        assert abs(c - e) <= 0.5 * math.ulp(c), n

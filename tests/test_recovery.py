@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from golden import regen
-from nmqem import channel
+from nmqem import channel, recovery
 from nmqem.channel import population_channel, predict_table
 from nmqem.gamma import BASIS_ORDER, build_gamma_basis, decompose, reconstruct
 from nmqem.linalg import CMat, identity, mat_mul
@@ -106,8 +106,8 @@ class TestClosedForms:
     @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
     def test_alpha_domain(self):
         # [0, 1/4), channel's ALPHA_MAX: 1/4 itself is out of range, and the
-        # float below it is refused by the determinant check, except by the LU
-        # oracle, which has none
+        # float below it is refused by the determinant check, which the LU
+        # oracle makes on its own LU determinant
         assert ALPHA_MAX is channel.ALPHA_MAX
         readers = [closed_form_swap, closed_form_id, cost_swap, cost_id, swap_recovery_matrix,
                    id_recovery_matrix] + [functools.partial(recovery_op, gate) for gate in GATES]
@@ -120,6 +120,20 @@ class TestClosedForms:
         for gate in GATES:
             with pytest.raises(AlphaOutOfRange):
                 recovery_numeric(population_channel(gate, ALPHA_MAX))
+            with pytest.warns(RuntimeWarning), pytest.raises(DenominatorNearZero):
+                recovery_numeric(population_channel(gate, math.nextafter(ALPHA_MAX, 0.0)))
+
+    def test_lu_oracle_reads_its_own_determinant(self, monkeypatch):
+        # recovery_numeric refuses on the determinant of its LU, not on the
+        # closed-form product that the other readers share
+        def forbidden(*args):
+            raise AssertionError("closed-form determinant read")
+
+        monkeypatch.setattr(recovery, "_determinant", forbidden)
+        ch = population_channel("identity", math.nextafter(ALPHA_MAX, 0.0))
+        with pytest.warns(RuntimeWarning), pytest.raises(DenominatorNearZero, match=r"^denominator "):
+            recovery_numeric(ch)
+        recovery_numeric(population_channel("identity", 0.1))
 
     def test_single_alpha_error_class(self):
         assert AlphaOutOfRange is channel.AlphaOutOfRange
