@@ -4,29 +4,35 @@ A gate is given by its interaction eigenbasis alone, written once as integer
 vectors x with entries in {0, +-1, +-i}, state a being x_a / sqrt|x_a|^2
 (``_GATES``). Everything per gate is derived from these vectors: the float
 amplitudes, the tensor of pairwise Pauli matrix elements (``m_tensor``), the
-rate matrix R and the weights that carry the gate's basis populations to the
-computational basis. The Pauli matrix elements of integer vectors are small
-Gaussian integers, which floats hold exactly, so each of these quantities is
-rounded at most once. ``v_element`` assembles the noisy evolution operator
-element by element from M. The SWAP / Identity population channels are affine
-in alpha = Re k, delta - 2 alpha R. In Pauli-error form the map is
-(1 - 3 alpha) rho + (alpha/2) sum_sigma sigma rho sigma over the six
-weight-1 Paulis sigma, and delta - 2 alpha R is its population transfer. Its
-bounds on alpha, read off this form, are ``ALPHA_CP`` and ``ALPHA_MAX``: the
-domain [0, ALPHA_CP] of the channel and [0, ALPHA_MAX) of its inverse. Also
-produces the predicted probability tables, including the conversion from the
-exchange-symmetric multiplet basis to the computational basis.
+Pauli-weight split and the weights that carry the gate's basis populations
+to the computational basis. The Pauli matrix elements of integer vectors are
+small Gaussian integers, which floats hold exactly, so each of these
+quantities is rounded at most once. ``v_element`` assembles the noisy
+evolution operator element by element from M. In Pauli-error form the map at
+alpha = Re k is (1 - 3 alpha) rho + (alpha/2) sum_sigma sigma rho sigma over
+the six weight-1 Paulis sigma: it multiplies a Pauli string of weight w by
+1 - 2 w alpha. Its bounds on alpha, read off this form, are ``ALPHA_CP`` and
+``ALPHA_MAX``: the domain [0, ALPHA_CP] of the channel and [0, ALPHA_MAX) of
+its inverse. The split P_w[a][c] = (1/4) sum over the strings P of weight w
+of <a|P|a><c|P|c> (``_projectors``) makes the population channel
+P_0 + (1 - 2 alpha) P_1 + (1 - 4 alpha) P_2 = delta - 2 alpha R, with
+delta = P_0 + P_1 + P_2 and the rate matrix R = P_1 + 2 P_2. On a basis whose
+populations the map leaves closed, as SWAP's and Identity's, the P_w are
+orthogonal idempotents, R's spectral projectors. Also produces the predicted
+probability tables, including the conversion from the exchange-symmetric
+multiplet basis to the computational basis.
 
 Each gate has a forward plan, built once at import, and a call makes one pass
-over it. ``_CHANNEL`` holds the 16 (delta_ac, R_ac) pairs, and each entry is
-delta - R alpha - R alpha, the k and conj(k) terms subtracted one at a time
-as ``v_element`` does, so it is bit-identical to it. ``_PREDICT_PLAN`` holds,
-per output row, only the nonzero (input, weight) pairs of the population
-weights, in input order, and predict_table computes each distinct row once.
-That is exact: to_computational's sum starts from 0.0 and so never holds
--0.0, and a left-out term is a signed zero, which leaves such a sum
-unchanged. A row whose one weight is 1.0 is the channel row as is, because
-no channel entry is -0.0.
+over it. ``_CHANNEL`` holds the 16 (delta_ac, R_ac) pairs read off the split
+(``_PROJECTORS``), and each entry is delta - R alpha - R alpha, the k and
+conj(k) terms subtracted one at a time as ``v_element`` does, so it is
+bit-identical to it. ``_PREDICT_PLAN`` holds, per output row, only the
+nonzero (input, weight) pairs of the population weights, in input order, and
+predict_table computes each distinct row once. That is exact:
+to_computational's sum starts from 0.0 and so never holds -0.0, and a
+left-out term is a signed zero, which leaves such a sum unchanged. A row
+whose one weight is 1.0 is the channel row as is, because no channel entry is
+-0.0.
 
 A channel matrix is stochastic on its whole domain: column c is the output
 population distribution for pure input state c. ``NmqemError``, defined
@@ -175,22 +181,23 @@ class MTensor:
         return sum(self.m[a - 1][ap][ap][c - 1] for ap in range(4))
 
 
-# The six single-qubit Paulis on two qubits, X, Y and Z on qubit 1 and on
-# qubit 2, each as its nonzero (flat index, entry) pairs, as GammaBasis.support.
-_SPIN_OPERATORS = tuple(
-    tuple((k, e) for k, e in enumerate(op.entries) if e)
-    for p in PAULI[1:] for op in (kron(p, PAULI[0]), kron(PAULI[0], p))
-)
+# The 16 two-qubit Pauli strings P (x) Q as (weight, row-major entries); the
+# six of weight 1, X, Y and Z on either qubit, are m_tensor's spin operators.
+_PAULI_STRINGS = tuple(((p > 0) + (q > 0), kron(PAULI[p], PAULI[q]).entries)
+                       for p in range(4) for q in range(4))
+
+
+def _element(op, u, v):
+    """<u|op|v> for an operator's row-major entries and integer vectors u, v:
+    a small Gaussian integer, exact in floats."""
+    return sum(u[k // 4].conjugate() * s * v[k % 4] for k, s in enumerate(op) if s)
 
 
 def _pauli_elements(vectors):
     """<x_a|sigma|x_b> for each spin operator sigma and integer vectors x_a,
-    x_b, indexed [sigma][a][b]: small Gaussian integers, exact in floats."""
-    return tuple(
-        tuple(tuple(sum(va[k // 4].conjugate() * s * vb[k % 4] for k, s in op) for vb in vectors)
-              for va in vectors)
-        for op in _SPIN_OPERATORS
-    )
+    x_b, indexed [sigma][a][b]."""
+    return tuple(tuple(tuple(_element(op, va, vb) for vb in vectors) for va in vectors)
+                 for w, op in _PAULI_STRINGS if w == 1)
 
 
 def _m_entry(s, p: int) -> float:
@@ -252,24 +259,21 @@ class Channel:
         return CMat.from_rows([list(r) for r in self.matrix])
 
 
-def _channel_terms(basis: Basis4):
-    """A basis's population channel as its 16 (delta_ac, R_ac) pairs,
-    row-major: with k = alpha real, v_element(a, a, c, c) = delta_ac - 2 alpha
-    R[a][c], where R is the rate matrix
-    R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a}
-            = (3/2) delta_ac - sum_sigma |<x_a|sigma|x_c>|^2 / (4 |x_a|^2 |x_c|^2).
-    Every term is an integer over a power of 2, so the floats are exact."""
-    vectors = basis.integer_vectors
-    elem = _pauli_elements(vectors)
-    n = _norms(vectors)
-    return tuple(
-        (1.0 if a == c else 0.0,
-         (1.5 if a == c else 0.0) - sum(_abs2(e[a][c]) for e in elem) / (4 * n[a] * n[c]))
-        for a in range(4) for c in range(4)
-    )
+def _projectors(basis: Basis4):
+    """A basis's split P_0, P_1, P_2, each as its 16 row-major entries. Each
+    diagonal <x|P|x> is an integer, computed once per string and vector, so
+    every entry is an integer over a power of 2 and the floats are exact."""
+    x, n = basis.integer_vectors, _norms(basis.integer_vectors)
+    diagonals = [(w, [_element(op, v, v).real for v in x]) for w, op in _PAULI_STRINGS]
+    return tuple(tuple(sum(d[a] * d[c] for v, d in diagonals if v == w) / (4 * n[a] * n[c])
+                       for a in range(4) for c in range(4)) for w in range(3))
 
 
-_CHANNEL = {gate: _channel_terms(basis_for_gate(gate)) for gate in GATES}
+# Each gate's split, and its channel as the 16 (delta_ac, R_ac) pairs read off
+# it, row-major: with k = alpha real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c].
+_PROJECTORS = {gate: _projectors(basis_for_gate(gate)) for gate in GATES}
+_CHANNEL = {gate: tuple((p0 + p1 + p2, p1 + 2.0 * p2) for p0, p1, p2 in zip(*split))
+            for gate, split in _PROJECTORS.items()}
 
 
 def _channel_rows(gate: str, alpha: float) -> list:
@@ -303,7 +307,7 @@ def to_computational(populations: Sequence[float], basis: Basis4):
     if len(populations) != 4:
         raise ValueError(f"need four populations, got {len(populations)}")
     total = sum(populations)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
         raise NotNormalized(f"populations sum to {total}, expected 1")
     return tuple(sum(row[a] * populations[a] for a in range(4)) for row in _weights(basis))
 

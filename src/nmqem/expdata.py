@@ -301,9 +301,9 @@ def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
 
 def fit_coupling(re_k: float, u: float) -> float:
     """Invert the quadratic Re k approximation for the coupling strength."""
-    if u <= 0:
+    if not u > 0:  # NaN fails too
         raise ValueError("u must be positive")
-    if re_k < 0:
+    if not re_k >= 0:
         raise ValueError("re_k must be nonnegative")
     return re_k / re_k_approx(1.0, u)
 

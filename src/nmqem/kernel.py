@@ -169,9 +169,9 @@ def si_shifted(x: float) -> float:
 def re_k_approx(coupling: float, u: float) -> float:
     """Quadratic approximation of Re k at normalized time u, for the lumped
     coupling strength gamma0 * wc_ts. Exactly linear in the coupling."""
-    if coupling < 0:
+    if not coupling >= 0:  # NaN fails too
         raise ValueError("coupling must be nonnegative")
-    if u < 0:
+    if not u >= 0:
         raise ValueError("u must be nonnegative")
     if coupling == 0.0:
         return coupling  # its signed zero, not 0 * inf = nan once u * u overflows

@@ -1,23 +1,22 @@
 """Recovery operators and mitigation cost functions.
 
-Each gate's population channel is V = delta - 2 alpha R (``channel``), and its
-rate matrix R has the eigenvalues l in {0, 1, 2}, so R's spectral projectors
-are polynomials in R: P_1 = 2R - R^2 and P_2 = (R^2 - R)/2. The recovery
-operator V^-1 = sum_l P_l / (1 - 2 l alpha) therefore needs only I, R and R^2:
+Each gate's population channel is V = P_0 + (1 - 2 alpha) P_1 +
+(1 - 4 alpha) P_2 over channel's Pauli-weight split, which is stated there;
+on the gates' bases the P_w are orthogonal idempotents, so
 
     V^-1 = I + 2 alpha R + 4 alpha^2 [P_1 / (1 - 2 alpha) + 4 P_2 / (1 - 4 alpha)],
 
 and its Gamma expansion weights are the same linear form in the constant
-weights of I, R, P_1 and P_2. These four rows, entries and weights, are
-derived once per process from channel's R (``_TABLE``), and stored column by
+weights of I, R, P_1 and P_2. These four rows, entries and weights, are read
+once per process off channel's split (``_TABLE``), and stored column by
 column: per gate, the labels with a nonzero weight and one (I, R, P_1, P_2)
 quadruple per entry and weight, the layout ``_resolvent`` reads.
 ``recovery_op`` evaluates the form in one pass over the columns; grouped by
 powers of alpha, entries of order alpha^2 keep their relative precision. It
-inverts nothing and takes no traces. It computes the channel determinant,
-V's eigenvalues 1 - 2 l alpha multiplied over the table's spectrum, once, and
-reads its closed-form record, the coefficients (B, C, D, E) or (F, G, H), off
-the entries it computes, at their row-major positions in ``_RECORD``, as
+inverts nothing. It computes the channel determinant, the eigenvalues
+1 - 2 w alpha multiplied tr P_w times (``_FACTORS``), once, and reads its
+closed-form record, the coefficients (B, C, D, E) or (F, G, H), off the
+entries it computes, at their row-major positions in ``_RECORD``, as
 ``closed_form_*`` do.
 
 Independent oracles, which the tests compare with the spectral route:
@@ -48,8 +47,8 @@ import warnings
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import _CHANNEL, ALPHA_MAX, AlphaOutOfRange, Channel, NmqemError
-from .linalg import CMat, det, identity, mat_inv, mat_mul
+from .channel import _CHANNEL, _PROJECTORS, ALPHA_MAX, AlphaOutOfRange, Channel, NmqemError
+from .linalg import CMat, det, mat_inv
 
 __all__ = [
     "RecoveryOp",
@@ -90,17 +89,13 @@ def _check_domain(gate: str, alpha: float):
     _check_denominator(_determinant(gate, alpha), alpha)
 
 
-def _table(terms) -> tuple:
-    """The labels and the four rows I, R, P_1 = 2R - R^2 and P_2 = (R^2 - R)/2
-    of one gate, column by column, with R read off the channel's (delta, R)
-    pairs. P_1 and P_2 are R's spectral projectors for the eigenvalues 1 and
-    2 (R(R - I)(R - 2I) = 0). Each row holds its 16 row-major entries and
-    then its Gamma weights tr(G_r^dagger M) / 4 on the labels that are
-    nonzero in some row. R's entries are halves, so every entry and weight is
-    a small dyadic and the floats are exact."""
-    r = CMat(4, 4, [rate for _, rate in terms])
-    r2 = mat_mul(r, r)
-    rows = (identity(4), r, r.scaled(2).add(r2.scaled(-1)), r2.add(r.scaled(-1)).scaled(0.5))
+def _table(terms, p1, p2) -> tuple:
+    """The labels and the rows I, R, P_1 and P_2 of one gate, column by column:
+    I and R from the channel's (delta, R) pairs, P_1 and P_2 from its split.
+    Each row holds its 16 row-major entries, then its Gamma weights
+    tr(G_r^dagger M) / 4 on the labels nonzero in some row; all are small
+    dyadics, exact in floats."""
+    rows = [CMat(4, 4, m) for m in (*zip(*terms), p1, p2)]
     basis = gamma_mod.build_gamma_basis()
     weights = [gamma_mod.decompose(basis, m).coeffs for m in rows]
     labels = tuple(label for label in gamma_mod.BASIS_ORDER if any(c[label] for c in weights))
@@ -112,14 +107,12 @@ def _table(terms) -> tuple:
     )))
 
 
-# Each gate's table, derived once from channel's rate matrix R; the recovery
-# tests check every row against m_tensor in rationals.
-_TABLE = {gate: _table(terms) for gate, terms in _CHANNEL.items()}
-# 2 l for each nonzero eigenvalue l of R, ascending: l = 1 and 2, as often as
-# tr P_1 and tr P_2, the sums of the P columns over the table's diagonal.
-_FACTORS = {gate: (2.0,) * round(sum(c[2] for c in columns[0:16:5]))
-            + (4.0,) * round(sum(c[3] for c in columns[0:16:5]))
-            for gate, (_, columns) in _TABLE.items()}
+# Each gate's table, read off channel's split; the recovery tests check every
+# row against m_tensor in rationals.
+_TABLE = {gate: _table(_CHANNEL[gate], p1, p2) for gate, (_, p1, p2) in _PROJECTORS.items()}
+# 2 l for each nonzero eigenvalue l of R, ascending: l = 1 and 2, tr P_l times.
+_FACTORS = {gate: (2.0,) * round(sum(p1[::5])) + (4.0,) * round(sum(p2[::5]))
+            for gate, (_, p1, p2) in _PROJECTORS.items()}
 _ZERO_WEIGHTS = dict.fromkeys(gamma_mod.BASIS_ORDER, 0j)
 
 

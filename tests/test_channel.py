@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -12,6 +13,7 @@ from golden import regen
 from nmqem.channel import (
     _CHANNEL,
     _PREDICT_PLAN,
+    _projectors,
     _weights,
     ALPHA_CP,
     GATES,
@@ -330,12 +332,16 @@ class TestPopulationChannel:
                 read("cz", 0.1)
 
 
-def derived_rate_matrix(basis):
-    """R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a}, from m_tensor."""
+@functools.lru_cache(maxsize=None)
+def exact_rate_matrix(basis):
+    """R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a} in Fractions,
+    from m_tensor over the basis (these entries are exact dyadics). The
+    package derives its R from the Pauli-weight split instead, so this is an
+    independent oracle for it."""
     mt = m_tensor(basis)
     return tuple(
         tuple(
-            (mt.diag_sum(a, a) if a == c else 0.0) - mt.at(a, c, c, a)
+            (Fraction(mt.diag_sum(a, a)) if a == c else 0) - Fraction(mt.at(a, c, c, a))
             for c in range(1, 5)
         )
         for a in range(1, 5)
@@ -360,7 +366,7 @@ class TestPauliErrorForm:
         # <x_a|sigma|x_c> of integer vectors is a Gaussian integer, exact in floats
         sandwich = [[sum(abs2(element(op, x[a], x[c])) for op in SPIN_OPS)
                      / (norms[a] * norms[c]) for c in range(4)] for a in range(4)]
-        rates = [[Fraction(r) for r in row] for row in derived_rate_matrix(basis)]
+        rates = exact_rate_matrix(basis)
         # both sides are affine in alpha, so two points would do
         for alpha in (Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(2, 5)):
             for a in range(4):
@@ -421,7 +427,7 @@ PREDICT_PLANS = {
 class TestRateMatrix:
     @pytest.mark.parametrize("gate", GATES)
     def test_table_equals_m_tensor_derivation(self, gate):
-        assert rate_matrix(gate) == derived_rate_matrix(basis_for_gate(gate))
+        assert rate_matrix(gate) == exact_rate_matrix(basis_for_gate(gate))
 
     @pytest.mark.parametrize("gate", GATES)
     def test_equals_transcribed_table(self, gate):
@@ -466,6 +472,64 @@ class TestRateMatrix:
                     assert matrix[a - 1][c - 1].hex() == expected.hex(), (alpha, a, c)
 
 
+# Bases beyond the package's gates, as integer vectors: the Bell states, the
+# product states |++>, |+->, |-+>, |--> and CNOT's eigenbasis |00>, |01>, |1+>, |1->.
+SPLIT_BASES = {
+    "bell": Basis4("bell", ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))),
+    "plus_minus": Basis4("plus_minus",
+                         ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))),
+    "cnot": Basis4("cnot", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))),
+}
+SPLIT_BASES.update((gate, basis_for_gate(gate)) for gate in GATES)
+# tr P_0, tr P_1, tr P_2 where the split is R's spectral decomposition; CNOT's
+# basis is not closed under the map, and its split is no set of projectors
+SPLIT_TRACES = {"bell": (1, 0, 3), "plus_minus": (1, 2, 1), "swap": (1, 1, 2),
+                "identity": (1, 2, 1), "cnot": None}
+
+
+def exact_split(basis):
+    """The Pauli-weight split P_0, P_1, P_2 of ``_projectors`` as 4x4 Fractions."""
+    return [[[Fraction(p[4 * a + c]) for c in range(4)] for a in range(4)]
+            for p in _projectors(basis)]
+
+
+def exact_matmul(p, q):
+    return [[sum(p[i][k] * q[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+class TestPauliWeightSplit:
+    """The split P_w[a][c] = (1/4) sum over the strings P of weight w of
+    <a|P|a><c|P|c>, in exact Fractions, on the gates' bases and beyond."""
+
+    @pytest.mark.parametrize("name", SPLIT_BASES)
+    def test_rate_matrix_and_identity(self, name):
+        # R = P_1 + 2 P_2 against m_tensor's R, and P_0 + P_1 + P_2 = I, on
+        # every basis, closed under the map or not
+        p0, p1, p2 = exact_split(SPLIT_BASES[name])
+        rate = exact_rate_matrix(SPLIT_BASES[name])
+        for a in range(4):
+            for c in range(4):
+                assert p1[a][c] + 2 * p2[a][c] == rate[a][c], (a, c)
+                assert p0[a][c] + p1[a][c] + p2[a][c] == int(a == c), (a, c)
+
+    @pytest.mark.parametrize("name", SPLIT_BASES)
+    def test_closure_is_idempotence(self, name):
+        # the map leaves the populations closed, <a|L(|c><d|)|a> = 0 for
+        # c != d, exactly where the split is a set of orthogonal idempotents
+        basis = SPLIT_BASES[name]
+        mt = m_tensor(basis)
+        closed = all(mt.at(a, c, d, a) == 0.0
+                     for a in range(1, 5) for c in range(1, 5) for d in range(1, 5) if c != d)
+        split = exact_split(basis)
+        zero = [[0] * 4 for _ in range(4)]
+        idempotent = all(exact_matmul(p, q) == (p if w == v else zero)
+                         for w, p in enumerate(split) for v, q in enumerate(split))
+        assert closed == idempotent == (SPLIT_TRACES[name] is not None)
+        if idempotent:
+            traces = tuple(sum(p[i][i] for i in range(4)) for p in split)
+            assert traces == SPLIT_TRACES[name]
+
+
 class TestToComputational:
     def test_multiplet_mixing(self):
         # a pure central-multiplet population splits evenly over 01 and 10,
@@ -495,6 +559,13 @@ class TestToComputational:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             to_computational((0.5, 0.5, 0.5, 0.0), MB)
+
+    @pytest.mark.parametrize("populations", [
+        (math.nan,) * 4, (math.inf, -math.inf, 1.0, 0.0), (math.nan, 0.0, 0.0, 1.0)])
+    def test_nan_total_is_not_normalized(self, populations):
+        # a NaN total compares false with everything, so it must fail the check
+        with pytest.raises(NotNormalized, match=r"^populations sum to nan, expected 1$"):
+            to_computational(populations, MB)
 
     @pytest.mark.parametrize("populations", [(0.5, 0.25, 0.25), (0.5, 0.25, 0, 0, 0.25), ()])
     def test_needs_four_populations(self, populations):

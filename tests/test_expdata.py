@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from importlib.resources import files
 
@@ -399,6 +400,15 @@ class TestFitCoupling:
             fit_coupling(0.01, 0.0)
         with pytest.raises(ValueError):
             fit_coupling(-0.01, 1.0)
+
+    @pytest.mark.parametrize("re_k, u, message", [
+        (math.nan, 1.0, "re_k must be nonnegative"),
+        (0.01, math.nan, "u must be positive"),
+        (math.nan, math.nan, "u must be positive"),
+    ])
+    def test_rejects_nan(self, re_k, u, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_coupling(re_k, u)
 
 
 class TestReferenceRanges:

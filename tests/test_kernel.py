@@ -100,6 +100,15 @@ class TestReKApprox:
         with pytest.raises(ValueError):
             re_k_approx(1.0, -0.5)
 
+    @pytest.mark.parametrize("coupling, u, message", [
+        (math.nan, 1.0, "coupling must be nonnegative"),
+        (1.0, math.nan, "u must be nonnegative"),
+        (math.nan, math.nan, "coupling must be nonnegative"),
+    ])
+    def test_nan_inputs_rejected(self, coupling, u, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            re_k_approx(coupling, u)
+
 
 class TestKPrinted:
     def test_zero_time(self):

@@ -28,6 +28,7 @@ from nmqem.recovery import (
     recovery_op,
     swap_recovery_matrix,
 )
+from test_channel import exact_rate_matrix
 
 GATES = ("swap", "identity")
 GRID = [i * 0.01 for i in range(25)]  # 0.00 .. 0.24
@@ -102,6 +103,16 @@ class TestClosedForms:
     def test_determinant_factors_are_the_spectrum(self):
         # 2 l per nonzero eigenvalue l of R, with multiplicities tr P_1, tr P_2
         assert _FACTORS == {"swap": (2.0, 4.0, 4.0), "identity": (2.0, 2.0, 4.0)}
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_determinant_factors_are_the_projector_traces(self, gate):
+        # the multiplicities against the traces of R's Lagrange projectors,
+        # built in Fractions from m_tensor's R rather than the package's split
+        rate = exact_rate_matrix(channel.basis_for_gate(gate))
+        traces = [sum(exact_projector(rate, lam, [0, 1, 2])[i][i] for i in range(4))
+                  for lam in (1, 2)]
+        assert all(t.denominator == 1 for t in traces)
+        assert _FACTORS[gate] == (2.0,) * int(traces[0]) + (4.0,) * int(traces[1])
 
     @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
     def test_alpha_domain(self):
@@ -367,20 +378,6 @@ class TestRecoveryOp:
         assert set(op.coeffs) == {"F", "G", "H"}
 
 
-@functools.lru_cache(maxsize=None)
-def exact_rate_matrix(gate):
-    """R[a][c] = delta_ac * sum_a' M_{a a' a' a} - M_{a c c a} in Fractions,
-    from m_tensor over the gate's basis (its floats are exact dyadics)."""
-    mt = channel.m_tensor(channel.basis_for_gate(gate))
-    return tuple(
-        tuple(
-            (Fraction(mt.diag_sum(a, a)) if a == c else 0) - Fraction(mt.at(a, c, c, a))
-            for c in range(1, 5)
-        )
-        for a in range(1, 5)
-    )
-
-
 def exact_product(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
 
@@ -437,7 +434,7 @@ def table_projectors(gate):
 def exact_rows(gate):
     """{name: M} of I, R, P_1, P_2 in Fractions from m_tensor, the projectors
     as Lagrange products."""
-    rate = exact_rate_matrix(gate)
+    rate = exact_rate_matrix(channel.basis_for_gate(gate))
     return {
         "I": [[Fraction(int(i == j)) for j in range(4)] for i in range(4)],
         "R": [list(row) for row in rate],
@@ -460,7 +457,7 @@ class TestSpectralTable:
     @pytest.mark.parametrize("gate", GATES)
     def test_resolves_rate_matrix_and_identity(self, gate):
         projectors = table_projectors(gate)
-        rate = exact_rate_matrix(gate)
+        rate = exact_rate_matrix(channel.basis_for_gate(gate))
         for i in range(4):
             for j in range(4):
                 assert sum(lam * p[i][j] for lam, p in projectors.items()) == rate[i][j]
@@ -481,7 +478,7 @@ class TestSpectralTable:
 
     @pytest.mark.parametrize("gate", GATES)
     def test_literals_equal_exact_projectors(self, gate):
-        rate = exact_rate_matrix(gate)
+        rate = exact_rate_matrix(channel.basis_for_gate(gate))
         for lam, p in table_projectors(gate).items():
             assert p == exact_projector(rate, lam, [0, 1, 2])
 
