@@ -22,17 +22,17 @@ orthogonal idempotents, R's spectral projectors. Also produces the predicted
 probability tables, including the conversion from the exchange-symmetric
 multiplet basis to the computational basis.
 
-Each gate has a forward plan, built once at import, and a call makes one pass
-over it. ``_CHANNEL`` holds the 16 (delta_ac, R_ac) pairs read off the split
+``_GATES``, the one per-gate record, holds each gate's basis, and each gate
+has a forward plan built from it at import; a call makes one pass over it.
+``_CHANNEL`` holds the 16 (delta_ac, R_ac) pairs read off the split
 (``_PROJECTORS``), and each entry is delta - R alpha - R alpha, the k and
 conj(k) terms subtracted one at a time as ``v_element`` does, so it is
 bit-identical to it. ``_PREDICT_PLAN`` holds, per output row, only the
-nonzero (input, weight) pairs of the population weights, in input order, and
-predict_table computes each distinct row once. That is exact:
-to_computational's sum starts from 0.0 and so never holds -0.0, and a
-left-out term is a signed zero, which leaves such a sum unchanged. A row
-whose one weight is 1.0 is the channel row as is, because no channel entry is
--0.0.
+nonzero (input, weight) pairs of the population weights, in input order,
+which predict_table mixes. That is exact: to_computational's sum starts from
+0.0 and so never holds -0.0, and a left-out term is a signed zero, which
+leaves such a sum unchanged. A row whose one weight is 1.0, a lone pair, is
+the channel row as is, because no channel entry is -0.0.
 
 A channel matrix is stochastic on its whole domain: column c is the output
 population distribution for pure input state c. ``NmqemError``, defined
@@ -42,7 +42,6 @@ here, is the base of the errors the command line reports.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .linalg import PAULI, CMat, kron
@@ -138,12 +137,12 @@ def computational_basis() -> Basis4:
     ))
 
 
-# Each gate's basis constructor and input labels. The Identity gate's
-# interaction eigenbasis coincides with the computational basis; SWAP needs
-# the multiplet basis.
+# Each gate's basis, built once, and input labels: the one per-gate record,
+# which every per-gate plan reads. The Identity gate's interaction eigenbasis
+# coincides with the computational basis; SWAP needs the multiplet basis.
 _GATES = {
-    "swap": (multiplet_basis, MULTIPLET_LABELS),
-    "identity": (computational_basis, COMPUTATIONAL_LABELS),
+    "swap": (multiplet_basis(), MULTIPLET_LABELS),
+    "identity": (computational_basis(), COMPUTATIONAL_LABELS),
 }
 GATES = tuple(_GATES)
 
@@ -155,9 +154,8 @@ def _gate_record(gate: str):
     return record
 
 
-@lru_cache(maxsize=None)
 def basis_for_gate(gate: str) -> Basis4:
-    return _gate_record(gate)[0]()
+    return _gate_record(gate)[0]
 
 
 def input_labels(gate: str):
@@ -312,16 +310,8 @@ def to_computational(populations: Sequence[float], basis: Basis4):
     return tuple(sum(row[a] * populations[a] for a in range(4)) for row in _weights(basis))
 
 
-def _predict_plan(weights):
-    """The mixes, each distinct row of nonzero (a, w) pairs of the population
-    weights [beta][a] once, and per beta an index into the channel rows and
-    then the mixes; a lone pair (a, 1.0) indexes channel row a."""
-    rows = [tuple((a, w) for a, w in enumerate(row) if w) for row in weights]
-    mixes = tuple(dict.fromkeys(t for t in rows if len(t) > 1 or t[0][1] != 1.0))
-    return mixes, tuple(4 + mixes.index(t) if t in mixes else t[0][0] for t in rows)
-
-
-_PREDICT_PLAN = {gate: _predict_plan(_weights(basis_for_gate(gate))) for gate in GATES}
+_PREDICT_PLAN = {gate: tuple(tuple((a, w) for a, w in enumerate(row) if w)
+                             for row in _weights(basis_for_gate(gate))) for gate in GATES}
 
 
 def _mix(terms, rows) -> tuple:
@@ -336,6 +326,5 @@ def predict_table(gate: str, alpha: float):
     state (multiplet inputs for SWAP, computational for Identity): the
     channel's columns through ``to_computational``, bit for bit."""
     rows = _channel_rows(gate, alpha)
-    mixes, layout = _PREDICT_PLAN[gate]
-    rows += [_mix(terms, rows) for terms in mixes]
-    return tuple(map(rows.__getitem__, layout))
+    return tuple([rows[terms[0][0]] if terms[0][1] == 1.0 else _mix(terms, rows)
+                  for terms in _PREDICT_PLAN[gate]])

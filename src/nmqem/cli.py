@@ -322,11 +322,12 @@ def cmd_predict(args, out) -> int:
         rows = [[COMPUTATIONAL_LABELS[i]] + [table[i][j] for j in range(4)] for i in range(4)]
         _emit_csv(out, header, rows)
     else:
-        width = 14
+        cells = [[_fmt(x) for x in row] for row in table]
+        # at least one space between cells, so each row splits into its five fields
+        width = max(14, 1 + max(len(c) for row in cells for c in row))
         lines = ["".join([f"{'output':<8}"] + [f"{l:>{width}}" for l in in_labels])]
-        for i in range(4):
-            cells = [f"{table[i][j]:>{width}.10g}" for j in range(4)]
-            lines.append("".join([f"{COMPUTATIONAL_LABELS[i]:<8}"] + cells))
+        for label, row in zip(COMPUTATIONAL_LABELS, cells):
+            lines.append("".join([f"{label:<8}"] + [f"{c:>{width}}" for c in row]))
         _write(out, "\n".join(lines))
     return EXIT_OK
 

@@ -27,7 +27,7 @@ import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .channel import GATES, NmqemError, input_labels, predict_table
+from .channel import COMPUTATIONAL_LABELS as OUTCOMES, GATES, NmqemError, input_labels, predict_table
 from .kernel import re_k_approx
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "reference_range",
     "divergence_flags",
 ]
-
-OUTCOMES = ("00", "01", "10", "11")
 
 ROLE_ALPHA = "ALPHA"
 ROLE_ONE_MINUS_2A = "ONE_MINUS_2A"

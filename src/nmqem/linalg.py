@@ -28,9 +28,9 @@ __all__ = [
 
 _ALLOWED_SHAPES = {(2, 2), (4, 4), (16, 16)}
 
-# Relative determinant threshold below which inversion refuses to proceed.
-# The population transfer matrices become exactly singular at alpha = 1/4
-# (channel.ALPHA_MAX), and we want a loud failure there, not amplified noise.
+# mat_inv and solve_linear refuse a matrix whose |det| is at most this times
+# max|entry|^n, rather than return amplified noise. recovery_numeric refuses
+# near alpha = 1/4 on its own LU determinant before mat_inv is reached.
 SINGULARITY_THRESHOLD = 1e-10
 
 

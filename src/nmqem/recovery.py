@@ -15,14 +15,13 @@ quadruple per entry and weight, the layout ``_resolvent`` reads.
 powers of alpha, entries of order alpha^2 keep their relative precision. It
 inverts nothing. It computes the channel determinant, the eigenvalues
 1 - 2 w alpha multiplied tr P_w times (``_FACTORS``), once, and reads its
-closed-form record, the coefficients (B, C, D, E) or (F, G, H), off the
-entries it computes, at their row-major positions in ``_RECORD``, as
-``closed_form_*`` do.
+closed-form record, (B, C, D, E) or (F, G, H), off the entries it computes,
+at the positions ``_RECORD`` reads off the printed pattern (``_PRINTED``).
 
 Independent oracles, which the tests compare with the spectral route:
-``recovery_numeric`` (LU inverse of the channel matrix),
-``swap_recovery_matrix`` / ``id_recovery_matrix`` (matrices assembled from the
-closed-form coefficients) and ``gamma.decompose`` (trace formula).
+``recovery_numeric`` (LU), ``gamma.decompose`` (trace formula) and exact
+rationals. ``swap_recovery_matrix`` / ``id_recovery_matrix`` fill the printed
+pattern with recovery_op's own record, so they check only that pattern.
 
 Costs come in two kinds:
 
@@ -47,7 +46,8 @@ import warnings
 from typing import Dict, Tuple
 
 from . import gamma as gamma_mod
-from .channel import _CHANNEL, _PROJECTORS, ALPHA_MAX, AlphaOutOfRange, Channel, NmqemError
+from .channel import (_CHANNEL, _PROJECTORS, ALPHA_MAX, AlphaOutOfRange, Channel, NmqemError,
+                      _gate_record)
 from .linalg import CMat, det, mat_inv
 
 __all__ = [
@@ -141,9 +141,12 @@ def _determinant(gate: str, alpha: float) -> float:
     return den
 
 
-# Each gate's closed-form record: its names and their row-major positions in V^-1.
-_RECORD = {"swap": (("B", 1), ("C", 0), ("D", 2), ("E", 5)),
-           "identity": (("F", 0), ("G", 3), ("H", 1))}
+# Each gate's printed V^-1, the record name of each entry, row-major; its record
+# is the names in alphabetical order, each at its first position.
+_PRINTED = {gate: pattern.replace(" ", "") for gate, pattern in
+            {"swap": "CBDB BEBB DBCB BBBE", "identity": "FHHG HFGH HGFH GHHF"}.items()}
+_RECORD = {gate: tuple((name, p.index(name)) for name in sorted(set(p)))
+           for gate, p in _PRINTED.items()}
 
 
 def _closed_form(gate: str, alpha: float) -> tuple:
@@ -164,28 +167,17 @@ def closed_form_id(alpha: float) -> Tuple[float, float, float]:
     return _closed_form("identity", alpha)
 
 
+def _printed_matrix(gate: str, alpha: float) -> CMat:
+    record = dict(zip((name for name, _ in _RECORD[gate]), _closed_form(gate, alpha)))
+    return CMat(4, 4, [record[name] for name in _PRINTED[gate]])
+
+
 def swap_recovery_matrix(alpha: float) -> CMat:
-    b, c, d, e = closed_form_swap(alpha)
-    return CMat.from_rows(
-        [
-            [c, b, d, b],
-            [b, e, b, b],
-            [d, b, c, b],
-            [b, b, b, e],
-        ]
-    )
+    return _printed_matrix("swap", alpha)
 
 
 def id_recovery_matrix(alpha: float) -> CMat:
-    f, g, h = closed_form_id(alpha)
-    return CMat.from_rows(
-        [
-            [f, h, h, g],
-            [h, f, g, h],
-            [h, g, f, h],
-            [g, h, h, f],
-        ]
-    )
+    return _printed_matrix("identity", alpha)
 
 
 def _warn_if_nearly_singular(determinant: float, alpha: float):
@@ -245,14 +237,12 @@ def recovery_op(gate: str, alpha: float) -> RecoveryOp:
     record. Warns as ``recovery_numeric`` does when the channel determinant,
     the product of its eigenvalues 1 - 2 l alpha, falls below 1e-4, and then
     raises DenominatorNearZero below 1e-9, as ``closed_form_*`` do."""
-    table = _TABLE.get(gate)
-    if table is None:
-        raise ValueError(f"unknown gate {gate!r}")
+    _gate_record(gate)
     _check_alpha(alpha)
     den = _determinant(gate, alpha)
     _warn_if_nearly_singular(den, alpha)
     _check_denominator(den, alpha)
-    labels, columns = table
+    labels, columns = _TABLE[gate]
     values = _resolvent(columns, alpha)
     coeffs = {name: values[k] for name, k in _RECORD[gate]}
     matrix = CMat(4, 4, values[:16])

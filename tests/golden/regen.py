@@ -112,6 +112,9 @@ def cli_cases() -> dict:
     cases["decompose-alpha-negative-zero-json"] = [
         "decompose", "--gate", "identity", "--alpha", "-0", "--format", "json"]
     cases["predict-alpha-not-a-number"] = ["predict", "--gate", "swap", "--alpha", "abc"]
+    # table cells of 14 characters or more, which widen every column
+    cases["predict-identity-wide-cells"] = ["predict", "--gate", "identity", "--alpha", "1.234567891e-5"]
+    cases["predict-swap-wide-cells"] = ["predict", "--gate", "swap", "--alpha", "0.0001234567891"]
     # Identity's two costs, equal in exact arithmetic and about 8.3e7, a last-ulp apart
     cases["decompose-identity-equal-costs"] = ["decompose", "--gate", "identity", "--alpha", "0.249999997"]
     return cases

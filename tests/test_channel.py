@@ -78,6 +78,8 @@ class TestBases:
     def test_basis_for_gate(self):
         assert basis_for_gate("swap").name == "multiplet_swap"
         assert basis_for_gate("identity").name == "computational"
+        # built once, in the gate record
+        assert all(basis_for_gate(gate) is basis_for_gate(gate) for gate in GATES)
         with pytest.raises(ValueError):
             basis_for_gate("cnot")
 
@@ -417,10 +419,11 @@ def rate_matrix(gate):
     return tuple(tuple(rates[4 * a:4 * a + 4]) for a in range(4))
 
 
-# (mixes, layout): SWAP's rows 01 and 10 are one mix of m2 and m4
+# per output row, the nonzero (input, weight) pairs: SWAP's rows 01 and 10
+# are each a mix of m2 and m4
 PREDICT_PLANS = {
-    "swap": ((((1, 0.5), (3, 0.5)),), (0, 4, 4, 2)),
-    "identity": ((), (0, 1, 2, 3)),
+    "swap": (((0, 1.0),), ((1, 0.5), (3, 0.5)), ((1, 0.5), (3, 0.5)), ((2, 1.0),)),
+    "identity": tuple(((beta, 1.0),) for beta in range(4)),
 }
 
 
@@ -448,17 +451,12 @@ class TestRateMatrix:
 
     @pytest.mark.parametrize("gate", GATES)
     def test_predict_plan_holds_the_nonzero_weights(self, gate):
-        # per output row: a channel row where the one weight is 1.0, else the
-        # nonzero (input, weight) pairs in input order, each distinct row once
-        mixes, layout = _PREDICT_PLAN[gate]
-        assert len(layout) == 4 and len(set(mixes)) == len(mixes)
-        for row, place in zip(POPULATION_WEIGHTS[gate], layout):
-            terms = tuple((a, w) for a, w in enumerate(row) if w)
-            if place < 4:
-                assert terms == ((place, 1.0),)
-            else:
-                assert mixes[place - 4] == terms
-        assert _PREDICT_PLAN[gate] == PREDICT_PLANS[gate]
+        # per output row, the nonzero (input, weight) pairs in input order
+        plan = _PREDICT_PLAN[gate]
+        assert plan == tuple(tuple((a, w) for a, w in enumerate(row) if w)
+                             for row in POPULATION_WEIGHTS[gate])
+        assert all(type(w) is float for terms in plan for _, w in terms)
+        assert plan == PREDICT_PLANS[gate]
 
     @pytest.mark.parametrize("gate", GATES)
     def test_channel_bit_identical_to_v_element(self, gate):

@@ -252,6 +252,28 @@ def test_json_writer_raises_type_error_as_json_dumps(payload, bad, wrap):
         emitted_json(document)
 
 
+def cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gate=st.sampled_from(("swap", "identity")), alpha=st.floats(0.0, 1.0 / 3.0))
+# cells of 15 characters, which ran into their left neighbour in a 14-wide table
+@example(gate="identity", alpha=1.234567891e-5)
+@example(gate="swap", alpha=0.0001234567891)
+def test_predict_table_rows_split_into_the_json_values(gate, alpha):
+    argv = ["predict", "--gate", gate, "--alpha", repr(alpha)]
+    columns = json.loads(cli_stdout(argv + ["--format", "json"]))["columns"]
+    header, *rows = cli_stdout(argv).splitlines()
+    assert header.split() == ["output", *input_labels(gate)]
+    assert [line.split() for line in rows] == [
+        [outcome] + [f"{columns[label][outcome]:.10g}" for label in input_labels(gate)]
+        for outcome in OUTCOMES]
+
+
 def csv_line(row):
     """A CSV row by the rule the writer keeps: a float at 10 significant
     digits, None as an empty cell, anything else as str()."""

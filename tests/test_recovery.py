@@ -248,6 +248,29 @@ class TestClosedFormRecord:
             assert closed(alpha) == tuple(op.coeffs.values()), alpha
 
     @pytest.mark.parametrize("gate", GATES)
+    def test_record_is_the_printed_pattern_read_alphabetically(self, gate):
+        # each name of the printed V^-1, in alphabetical order, at its first
+        # row-major position, which is the entry written apart above
+        pattern = recovery._PRINTED[gate]
+        assert len(pattern) == 16 and sorted(set(pattern)) == list(RECORD_ENTRIES[gate])
+        assert recovery._RECORD[gate] == tuple((name, pattern.index(name))
+                                               for name in sorted(set(pattern)))
+        assert recovery._RECORD[gate] == tuple((name, 4 * i + j)
+                                               for name, (i, j) in RECORD_ENTRIES[gate].items())
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_printed_matrix_is_recovery_op_bit_for_bit(self, gate):
+        # the printed pattern is V^-1's structure: every entry, not only the
+        # record's, equals the spectral route's
+        closed = swap_recovery_matrix if gate == "swap" else id_recovery_matrix
+        alphas = in_domain(regen.sweep_alphas(), closed)
+        assert len(alphas) > 4200
+        for alpha in alphas:
+            got, want = closed(alpha).entries, recovery_op(gate, alpha).matrix.entries
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                (z.real.hex(), z.imag.hex()) for z in want], alpha
+
+    @pytest.mark.parametrize("gate", GATES)
     def test_costs_against_exact_rationals(self, gate):
         cost = cost_swap if gate == "swap" else cost_id
         alphas = in_domain(regen.sweep_alphas(), cost)
