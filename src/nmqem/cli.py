@@ -1,13 +1,19 @@
 """Command-line front end.
 
-Subcommands, and the layout each prints for --format csv / json / table::
+Subcommands, and the layouts each builds::
 
-    gamma-check   algebra self-test of the 16-matrix basis       table json table
-    kernel        Re k / Im k curves as figure-ready CSV         csv   json csv
-    cost          mitigation cost curves vs normalized time      csv   json csv
-    predict       predicted probability table at a given alpha   csv   json table
-    estimate      Re k estimation report from a counts file      csv   json table
-    decompose     Gamma expansion of a recovery operator         table json table
+    gamma-check   algebra self-test of the 16-matrix basis       json table
+    kernel        Re k / Im k curves as figure-ready CSV         json csv
+    cost          mitigation cost curves vs normalized time      json csv
+    predict       predicted probability table at a given alpha   json csv table
+    estimate      Re k estimation report from a counts file      json csv table
+    decompose     Gamma expansion of a recovery operator         json table
+
+Each ``cmd_*`` computes its report and returns its exit code and its layouts,
+each built only when asked for: the JSON payload, the CSV (header, rows) and
+the table's lines. ``main`` alone picks the one --format names and writes it
+through ``_WRITERS``; a subcommand with a single row layout prints it for both
+csv and table.
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -19,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -48,19 +53,13 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{z.imag:+.10g}j"
 
 
-def _write(out, text: str):
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
 def _csv_cell(kind: type) -> str:
     """The %-format of a CSV cell of type ``kind``: a float at 10 significant
     digits, None as an empty cell ("%.0s" prints none of "None"), else str()."""
     return "%.10g" if issubclass(kind, float) else "%.0s" if kind is type(None) else "%s"
 
 
-def _emit_csv(out, header, rows):
+def _emit_csv(header, rows) -> str:
     """One line per row; a float at 10 significant digits, None as an empty
     cell, any other value as str(). Each row is one %-format call, through a
     template rebuilt only when the row's column types change."""
@@ -72,7 +71,7 @@ def _emit_csv(out, header, rows):
             kinds = row_kinds
             template = ",".join(map(_csv_cell, kinds))
         lines.append(template % tuple(row))
-    _write(out, "\n".join(lines))
+    return "\n".join(lines)
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -134,14 +133,19 @@ def _append_json(parts: list, value, pad: str):
             parts.append(pad + "]")
 
 
-def _emit_json(out, payload):
+def _emit_json(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True), byte for byte. With an
     indent, CPython before 3.14 runs json's pure-Python encoder, which costs
     more than the rest of most commands; this writer does the same in one
     recursive pass."""
     parts = []
     _append_json(parts, payload, "\n")
-    _write(out, "".join(parts))
+    return "".join(parts)
+
+
+# How ``main`` writes each format's layout: the JSON payload, the CSV
+# (header, rows) and the table's lines.
+_WRITERS = {"json": _emit_json, "csv": lambda layout: _emit_csv(*layout), "table": "\n".join}
 
 
 # ---------------------------------------------------------------- gamma-check
@@ -183,17 +187,13 @@ def run_gamma_check(basis: gamma.GammaBasis) -> dict:
     return {"checks": checks, "all_pass": ok}
 
 
-def cmd_gamma_check(args, out) -> int:
+def cmd_gamma_check(args):
     report = run_gamma_check(gamma.build_gamma_basis())
-    if args.format == "json":
-        _emit_json(out, report)
-    else:
-        lines = []
-        for c in report["checks"]:
-            lines.append(f"{c['check']:<22} {'PASS' if c['pass'] else 'FAIL'}")
-        lines.append(f"{'all':<22} {'PASS' if report['all_pass'] else 'FAIL'}")
-        _write(out, "\n".join(lines))
-    return EXIT_OK if report["all_pass"] else EXIT_SELF_CHECK
+    checks = report["checks"] + [{"check": "all", "pass": report["all_pass"]}]
+    return EXIT_OK if report["all_pass"] else EXIT_SELF_CHECK, {
+        "json": lambda: report,
+        "table": lambda: [f"{c['check']:<22} {'PASS' if c['pass'] else 'FAIL'}" for c in checks],
+    }
 
 
 # --------------------------------------------------------------------- kernel
@@ -216,7 +216,7 @@ def _kernel_params(args, coupling: float) -> KernelParams:
     return KernelParams(gamma0=gamma0, delta0=args.delta0, wc_ts=args.wc_ts)
 
 
-def cmd_kernel(args, out) -> int:
+def cmd_kernel(args):
     if not 0.0 < args.wc_ts < math.inf:
         raise NmqemError("--wc-ts must be finite and > 0")
     if not 0.0 <= args.delta0 < math.inf:
@@ -248,29 +248,17 @@ def cmd_kernel(args, out) -> int:
     for row in rows:
         if not all(math.isfinite(v) for v in row[2:]):
             raise NmqemError(f"k overflows at coupling={row[0]}, u={row[1]}")
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "mode": args.mode,
-                "rows": [dict(zip(header, row)) for row in rows],
-            },
-        )
-    else:
-        _emit_csv(out, header, rows)
-    return EXIT_OK
+    return EXIT_OK, {
+        "json": lambda: {"mode": args.mode, "rows": [dict(zip(header, row)) for row in rows]},
+        "csv": lambda: (header, rows),
+    }
 
 
 # ----------------------------------------------------------------------- cost
 
 
-def _printed_cost(gate: str):
-    """The printed cost function, looked up on ``recovery`` when called."""
-    return recovery.cost_swap if gate == "swap" else recovery.cost_id
-
-
-def cmd_cost(args, out) -> int:
-    cost_fn = _printed_cost(args.gate)
+def cmd_cost(args):
+    cost_fn = recovery.printed_cost(args.gate)
     header = ["coupling", "u", "alpha", "cost"]
     grid = _u_grid(args.u_max, args.steps)
     rows = []
@@ -284,171 +272,134 @@ def cmd_cost(args, out) -> int:
             except (recovery.AlphaOutOfRange, recovery.DenominatorNearZero):
                 cost = None  # out of domain, flagged
             rows.append([coupling, u, alpha, cost])
-    if args.format == "json":
-        payload = [
+    # a dict literal per JSON row: dict(zip(header, row)) with in_domain made
+    # the call about 6% slower, and cost's JSON calls set perfbench's cli tail
+    return EXIT_OK, {
+        "json": lambda: {"gate": args.gate, "rows": [
             {"coupling": coupling, "u": u, "alpha": alpha, "cost": cost, "in_domain": cost is not None}
-            for coupling, u, alpha, cost in rows
-        ]
-        _emit_json(out, {"gate": args.gate, "rows": payload})
-    else:
-        _emit_csv(out, header, rows)
-    return EXIT_OK
+            for coupling, u, alpha, cost in rows]},
+        "csv": lambda: (header, rows),
+    }
 
 
 # -------------------------------------------------------------------- predict
 
 
-def cmd_predict(args, out) -> int:
+def cmd_predict(args):
     table = predict_table(args.gate, args.alpha)
     in_labels = input_labels(args.gate)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "gate": args.gate,
-                "alpha": args.alpha,
-                "inputs": list(in_labels),
-                "outputs": list(COMPUTATIONAL_LABELS),
-                "columns": {
-                    in_labels[j]: {
-                        COMPUTATIONAL_LABELS[i]: table[i][j] for i in range(4)
-                    }
-                    for j in range(4)
-                },
-            },
-        )
-    elif args.format == "csv":
-        header = ["output"] + [f"in_{l}" for l in in_labels]
-        rows = [[COMPUTATIONAL_LABELS[i]] + [table[i][j] for j in range(4)] for i in range(4)]
-        _emit_csv(out, header, rows)
-    else:
+
+    def lines():
         cells = [[_fmt(x) for x in row] for row in table]
         # at least one space between cells, so each row splits into its five fields
         width = max(14, 1 + max(len(c) for row in cells for c in row))
-        lines = ["".join([f"{'output':<8}"] + [f"{l:>{width}}" for l in in_labels])]
-        for label, row in zip(COMPUTATIONAL_LABELS, cells):
-            lines.append("".join([f"{label:<8}"] + [f"{c:>{width}}" for c in row]))
-        _write(out, "\n".join(lines))
-    return EXIT_OK
+        return ["".join([f"{label:<8}"] + [f"{c:>{width}}" for c in row])
+                for label, row in zip(("output", *COMPUTATIONAL_LABELS), (in_labels, *cells))]
+
+    return EXIT_OK, {
+        "json": lambda: {
+            "gate": args.gate,
+            "alpha": args.alpha,
+            "inputs": list(in_labels),
+            "outputs": list(COMPUTATIONAL_LABELS),
+            "columns": {label: dict(zip(COMPUTATIONAL_LABELS, column))
+                        for label, column in zip(in_labels, zip(*table))},
+        },
+        "csv": lambda: (["output"] + [f"in_{l}" for l in in_labels],
+                        [[label, *row] for label, row in zip(COMPUTATIONAL_LABELS, table)]),
+        "table": lines,
+    }
 
 
 # ------------------------------------------------------------------- estimate
 
 
-def _estimate_report(path: str, gate_flag):
-    with open(path, "rb") as fh:
+def cmd_estimate(args):
+    with open(args.counts, "rb") as fh:
         ct = expdata.load_counts(fh)
-    if gate_flag is not None and gate_flag != ct.gate:
-        raise expdata.SchemaError(
-            f"--gate {gate_flag} disagrees with file gate {ct.gate}"
-        )
-    pt = expdata.normalize(ct)
-    est = expdata.estimate_re_k(pt, ct.gate)
-    report = {
-        "gate": ct.gate,
-        "device": ct.device,
-        "per_cell": [
-            {
-                "input": c.input,
-                "output": c.output,
-                "role": c.role,
-                "estimate": c.estimate,
-            }
-            for c in est.per_cell
-        ],
-        "min": est.min,
-        "max": est.max,
-        "lsq": est.lsq,
-        "residual": est.residual,
-        "coupling_at_u1": expdata.fit_coupling(est.lsq, 1.0),
-        "lsq_note": "least-squares estimator is an extension beyond the published ranges",
-    }
+    if args.gate is not None and args.gate != ct.gate:
+        raise expdata.SchemaError(f"--gate {args.gate} disagrees with file gate {ct.gate}")
+    est = expdata.estimate_re_k(expdata.normalize(ct), ct.gate)
+    header = ["min", "max", "lsq", "residual", "coupling_at_u1"]
+    coupling = expdata.fit_coupling(est.lsq, 1.0)
+    values = [est.min, est.max, est.lsq, est.residual, coupling]
     ref = expdata.divergence_flags(est, ct.gate, ct.device)
-    if ref is not None:
-        (lo, hi), flags = ref
-        report["reference_range"] = [lo, hi]
-        report["divergence"] = flags
-    return report
+    note = "least-squares estimator is an extension beyond the published ranges"
 
+    def payload():
+        report = dict(zip(header, values), gate=ct.gate, device=ct.device, lsq_note=note, per_cell=[
+            {"input": c.input, "output": c.output, "role": c.role, "estimate": c.estimate}
+            for c in est.per_cell])
+        if ref is not None:
+            report["reference_range"], report["divergence"] = list(ref[0]), ref[1]
+        return report
 
-def cmd_estimate(args, out) -> int:
-    report = _estimate_report(args.counts, args.gate)
-    if args.format == "csv":
-        header = ["min", "max", "lsq", "residual", "coupling_at_u1"]
-        _emit_csv(out, header, [[report[h] for h in header]])
-    elif args.format == "table":
-        lines = [
-            f"gate:     {report['gate']}",
-            f"device:   {report['device']}",
-            f"min:      {_fmt(report['min'])}",
-            f"max:      {_fmt(report['max'])}",
-            f"lsq:      {_fmt(report['lsq'])}  ({report['lsq_note']})",
-            f"residual: {_fmt(report['residual'])}",
-            f"coupling at u=1: {_fmt(report['coupling_at_u1'])}",
+    def lines():
+        table = [
+            f"gate:     {ct.gate}",
+            f"device:   {ct.device}",
+            f"min:      {_fmt(est.min)}",
+            f"max:      {_fmt(est.max)}",
+            f"lsq:      {_fmt(est.lsq)}  ({note})",
+            f"residual: {_fmt(est.residual)}",
+            f"coupling at u=1: {_fmt(coupling)}",
         ]
-        if "reference_range" in report:
-            lo, hi = report["reference_range"]
-            lines.append(f"reference range: [{_fmt(lo)}, {_fmt(hi)}]")
-            for flag in report["divergence"]:
-                lines.append(f"  divergence: {flag}")
-        lines.append("per-cell estimates:")
-        for c in report["per_cell"]:
-            lines.append(
-                f"  in {c['input']:<3} out {c['output']}  {c['role']:<18} {_fmt(c['estimate'])}"
-            )
-        _write(out, "\n".join(lines))
-    else:
-        _emit_json(out, report)
-    return EXIT_OK
+        if ref is not None:
+            (lo, hi), flags = ref
+            table.append(f"reference range: [{_fmt(lo)}, {_fmt(hi)}]")
+            table += [f"  divergence: {flag}" for flag in flags]
+        table.append("per-cell estimates:")
+        table += [f"  in {c.input:<3} out {c.output}  {c.role:<18} {_fmt(c.estimate)}"
+                  for c in est.per_cell]
+        return table
+
+    return EXIT_OK, {"json": payload, "csv": lambda: (header, [values]), "table": lines}
 
 
 # ------------------------------------------------------------------ decompose
 
 
-def cmd_decompose(args, out) -> int:
+def cmd_decompose(args):
     op = recovery.recovery_op(args.gate, args.alpha)
-    basis = gamma.build_gamma_basis()
-    recon = gamma.reconstruct(basis, op.gamma)
-    residual = max(
-        abs(a - b) for a, b in zip(recon.entries, op.matrix.entries)
-    )
+    recon = gamma.reconstruct(gamma.build_gamma_basis(), op.gamma)
+    residual = max(abs(a - b) for a, b in zip(recon.entries, op.matrix.entries))
     decomposition_cost = recovery.cost_from_decomposition(op)
-    printed_cost = _printed_cost(args.gate)(args.alpha)
-    coeffs = {
-        label: [op.gamma.coeffs[label].real, op.gamma.coeffs[label].imag]
-        for label in gamma.BASIS_ORDER
-    }
-    report = {
-        "gate": args.gate,
-        "alpha": args.alpha,
-        "gamma_coefficients": coeffs,
-        "closed_form": op.coeffs,
-        "reconstruction_residual": residual,
-        "cost_from_decomposition": decomposition_cost,
-        "cost_closed_form": printed_cost,
-    }
+    printed_cost = recovery.printed_cost(args.gate)(args.alpha)
     # relative: for Identity the two are equal in exact arithmetic, and near
     # 1/4, where the costs pass 1e7, they may still differ in the last ulp
+    note = None
     if abs(decomposition_cost - printed_cost) > 1e-9 * max(1.0, printed_cost):
-        report["note"] = (
-            "decomposition cost differs from the closed-form combination for "
-            "this gate; both values are reported"
-        )
-    if args.format == "json":
-        _emit_json(out, report)
-    else:
-        lines = [f"gate: {args.gate}  alpha: {_fmt(args.alpha)}"]
+        note = ("decomposition cost differs from the closed-form combination for "
+                "this gate; both values are reported")
+
+    def payload():
+        report = {
+            "gate": args.gate,
+            "alpha": args.alpha,
+            "gamma_coefficients": {label: [z.real, z.imag] for label, z in op.gamma.coeffs.items()},
+            "closed_form": op.coeffs,
+            "reconstruction_residual": residual,
+            "cost_from_decomposition": decomposition_cost,
+            "cost_closed_form": printed_cost,
+        }
+        if note is not None:
+            report["note"] = note
+        return report
+
+    def lines():
+        table = [f"gate: {args.gate}  alpha: {_fmt(args.alpha)}"]
         for label in gamma.BASIS_ORDER:
             z = op.gamma.coeffs[label]
             if abs(z) > 1e-14:
-                lines.append(f"  {label:<6} {_fmt_complex(z)}")
-        lines.append(f"reconstruction residual: {residual:.3e}")
-        lines.append(f"cost (decomposition): {_fmt(decomposition_cost)}")
-        lines.append(f"cost (closed form):   {_fmt(printed_cost)}")
-        if "note" in report:
-            lines.append(f"note: {report['note']}")
-        _write(out, "\n".join(lines))
-    return EXIT_OK
+                table.append(f"  {label:<6} {_fmt_complex(z)}")
+        table.append(f"reconstruction residual: {residual:.3e}")
+        table.append(f"cost (decomposition): {_fmt(decomposition_cost)}")
+        table.append(f"cost (closed form):   {_fmt(printed_cost)}")
+        if note is not None:
+            table.append(f"note: {note}")
+        return table
+
+    return EXIT_OK, {"json": payload, "table": lines}
 
 
 # ----------------------------------------------------------------------- main
@@ -562,11 +513,10 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
-    # Output is buffered so that a failing command prints nothing and leaves
-    # no --out file behind. Warnings are reported as one line each once the
-    # command has succeeded; a failure reports only its error, and its class
-    # alone picks the exit code.
-    buffer = io.StringIO()
+    # The command and its layout run before anything is written, so that a
+    # failing command prints nothing and leaves no --out file behind. Warnings
+    # are reported as one line each once the command has succeeded; a failure
+    # reports only its error, and its class alone picks the exit code.
     try:
         try:
             args = _parse_args(sys.argv[1:] if argv is None else argv)
@@ -574,12 +524,16 @@ def main(argv=None) -> int:
             return EXIT_USAGE if exc.code not in (0, None) else 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            code = args.func(args, buffer)
+            code, layouts = args.func(args)
+            fmt = args.format
+            if fmt not in layouts:  # a single row layout is printed for both csv and table
+                fmt = "table" if fmt == "csv" else "csv"
+            text = _WRITERS[fmt](layouts[fmt]()) + "\n"
         if args.out is None:
-            sys.stdout.write(buffer.getvalue())
+            sys.stdout.write(text)
         else:
             with open(args.out, "w") as fh:
-                fh.write(buffer.getvalue())
+                fh.write(text)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         return code

@@ -44,15 +44,6 @@ BASIS_ORDER = (
 )
 _LABELS = frozenset(BASIS_ORDER)
 
-_SET_OF_LABEL = {
-    "I": "G1",
-    "g0": "G2", "g1": "G2", "g2": "G2", "g3": "G2",
-    "g0g1": "G3", "g0g2": "G3", "g0g3": "G3",
-    "g1g2": "G3", "g1g3": "G3", "g2g3": "G3",
-    "g5g0": "G4", "g5g1": "G4", "g5g2": "G4", "g5g3": "G4",
-    "g5": "G5",
-}
-
 
 class GammaBasis:
     """The 16 basis matrices keyed by label, plus the metric diagonal.
@@ -72,9 +63,6 @@ class GammaBasis:
 
     def matrix(self, label: str) -> CMat:
         return self.matrices[BASIS_ORDER.index(label)]
-
-    def set_of(self, label: str) -> str:
-        return _SET_OF_LABEL[label]
 
     def generator(self, mu: int) -> CMat:
         """The single matrix g_mu for mu in 0..3."""

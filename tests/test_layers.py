@@ -52,6 +52,6 @@ def test_run_forward_gives_what_the_oracle_reads():
         assert len(res["reconstructed"].entries) == 16
         assert len(res["table"]) == 4 and all(len(row) == 4 for row in res["table"])
         assert isinstance(res["cost"], float) and isinstance(res["cost_from_decomposition"], float)
-        # ops.py restates the CLI's printed-cost rule; the two agree on every gate
-        assert res["cost"] == nmqem.cli._printed_cost(gate)(0.05)
+        # ops.py restates recovery's printed cost per gate; the two agree on every gate
+        assert res["cost"] == nmqem.recovery.printed_cost(gate)(0.05)
         assert res["warned"] is False

@@ -340,6 +340,15 @@ class TestCosts:
         with pytest.raises(AlphaOutOfRange):
             cost_swap(ALPHA_MAX)
 
+    def test_printed_cost_per_gate(self, monkeypatch):
+        assert recovery.printed_cost("swap") is cost_swap
+        assert recovery.printed_cost("identity") is cost_id
+        # a gate with no printed cost, known to the channel or not, is refused
+        monkeypatch.delitem(recovery._PRINTED_COST, "identity")
+        for gate in ("identity", "cnot"):
+            with pytest.raises(channel.NmqemError, match="no printed cost for gate"):
+                recovery.printed_cost(gate)
+
     @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
     @pytest.mark.parametrize("gate", ["swap", "identity"])
     def test_decomposition_cost_is_the_induced_one_norm(self, gate):
