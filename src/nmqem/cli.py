@@ -10,10 +10,12 @@ Subcommands, and the layouts each builds::
     decompose     Gamma expansion of a recovery operator         json table
 
 Each ``cmd_*`` computes its report and returns its exit code and its layouts,
-each built only when asked for: the JSON payload, the CSV (header, rows) and
-the table's lines. ``main`` alone picks the one --format names and writes it
+each built only when asked for: the JSON payload, whose row lists are
+``_RowTable``s, the CSV (header, rows) and the table's lines. ``main`` alone picks the one --format names and writes it
 through ``_WRITERS``; a subcommand with a single row layout prints it for both
-csv and table.
+csv and table. argv that starts with a subcommand's name is read by that
+subcommand's own parser, the one the top-level parser delegates to, and any
+other argv by the top-level parser.
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -24,9 +26,11 @@ propagates. All output is deterministic; numbers have 10 significant digits.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
+import operator
 import sys
 import warnings
 
@@ -99,7 +103,9 @@ def _append_json(parts: list, value, pad: str):
     parts; ``pad`` is the newline and indent of value's own line. Dict keys
     must be str; any other key or value type raises TypeError."""
     kind = type(value)
-    if kind is not dict and kind is not list and kind is not tuple:
+    if kind is _RowTable:
+        _append_rows(parts, value, pad)
+    elif kind is not dict and kind is not list and kind is not tuple:
         text = _JSON_SCALAR.get(kind)
         if text is None:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -133,11 +139,63 @@ def _append_json(parts: list, value, pad: str):
             parts.append(pad + "]")
 
 
+# JSON rows as one header and a list of cells per row, one cell per name:
+# _emit_json writes it as json.dumps writes [dict(zip(header, row)) for row in rows]
+_RowTable = collections.namedtuple("_RowTable", "header rows")
+
+
+# The %-format of a row-table cell of each type: a float or an int by repr,
+# None as null ("%.0s" prints none of "None"); a str or a bool is first given
+# its JSON text by _ROW_TEXT.
+_ROW_CELL = {float: "%r", int: "%r", type(None): "%.0snull", str: "%s", bool: "%s"}
+_ROW_TEXT = {str: _json_str, bool: _JSON_SCALAR[bool]}
+
+
+def _append_rows(parts: list, table: _RowTable, pad: str):
+    """Append the text of json.dumps of the table's list of dicts. The keys
+    are sorted and escaped once per table, and each row is one %-format call
+    on its cells in key order, through a template rebuilt only when the
+    cells' types change. A table with a cell of any other type, or whose
+    text holds "nan" or "inf" (%r writes a non-finite float so, where JSON
+    has NaN and Infinity), is written row dict by row dict by _append_json."""
+    header, rows = table
+    column = dict(zip(header, range(len(header))))  # a repeated name keeps its last cell, as in a dict
+    if rows and len(column) > 1:  # itemgetter returns a tuple for two keys or more
+        keys = sorted(column)
+        pick = operator.itemgetter(*[column[key] for key in keys])
+        inner = pad + "  "
+        names = [(inner + "  " + _json_str(key) + ": ").replace("%", "%%") for key in keys]
+        texts = []
+        kinds = None
+        for row in rows:
+            cells = pick(row)
+            row_kinds = tuple(map(type, cells))
+            if row_kinds != kinds:
+                kinds = row_kinds
+                formats = [_ROW_CELL.get(kind) for kind in kinds]
+                if None in formats:
+                    break
+                template = "{" + ",".join(map(operator.add, names, formats)) + inner + "}"
+                convert = [(i, _ROW_TEXT[kind]) for i, kind in enumerate(kinds) if kind in _ROW_TEXT]
+            if convert:
+                cells = list(cells)
+                for i, text in convert:
+                    cells[i] = text(cells[i])
+                cells = tuple(cells)
+            texts.append(template % cells)
+        else:
+            body = ("," + inner).join(texts)
+            if "nan" not in body and "inf" not in body:
+                parts.append("[" + inner + body + pad + "]")
+                return
+    _append_json(parts, [dict(zip(header, row)) for row in rows], pad)
+
+
 def _emit_json(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), byte for byte. With an
-    indent, CPython before 3.14 runs json's pure-Python encoder, which costs
-    more than the rest of most commands; this writer does the same in one
-    recursive pass."""
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, with each
+    ``_RowTable`` written as its list of dicts. With an indent, CPython before
+    3.14 runs json's pure-Python encoder, which costs more than the rest of
+    most commands; this writer does the same in one recursive pass."""
     parts = []
     _append_json(parts, payload, "\n")
     return "".join(parts)
@@ -249,7 +307,7 @@ def cmd_kernel(args):
         if not all(math.isfinite(v) for v in row[2:]):
             raise NmqemError(f"k overflows at coupling={row[0]}, u={row[1]}")
     return EXIT_OK, {
-        "json": lambda: {"mode": args.mode, "rows": [dict(zip(header, row)) for row in rows]},
+        "json": lambda: {"mode": args.mode, "rows": _RowTable(header, rows)},
         "csv": lambda: (header, rows),
     }
 
@@ -272,12 +330,9 @@ def cmd_cost(args):
             except (recovery.AlphaOutOfRange, recovery.DenominatorNearZero):
                 cost = None  # out of domain, flagged
             rows.append([coupling, u, alpha, cost])
-    # a dict literal per JSON row: dict(zip(header, row)) with in_domain made
-    # the call about 6% slower, and cost's JSON calls set perfbench's cli tail
     return EXIT_OK, {
-        "json": lambda: {"gate": args.gate, "rows": [
-            {"coupling": coupling, "u": u, "alpha": alpha, "cost": cost, "in_domain": cost is not None}
-            for coupling, u, alpha, cost in rows]},
+        "json": lambda: {"gate": args.gate, "rows": _RowTable(
+            header + ["in_domain"], [[*row, row[3] is not None] for row in rows])},
         "csv": lambda: (header, rows),
     }
 
@@ -327,9 +382,9 @@ def cmd_estimate(args):
     note = "least-squares estimator is an extension beyond the published ranges"
 
     def payload():
-        report = dict(zip(header, values), gate=ct.gate, device=ct.device, lsq_note=note, per_cell=[
-            {"input": c.input, "output": c.output, "role": c.role, "estimate": c.estimate}
-            for c in est.per_cell])
+        report = dict(zip(header, values), gate=ct.gate, device=ct.device, lsq_note=note,
+                      per_cell=_RowTable(("input", "output", "role", "estimate"), [
+                          (c.input, c.output, c.role, c.estimate) for c in est.per_cell]))
         if ref is not None:
             report["reference_range"], report["divergence"] = list(ref[0]), ref[1]
         return report
@@ -474,6 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", choices=GATES, required=True)
     p.add_argument("--alpha", type=_float, required=True)
 
+    parser.subcommands = sub.choices  # {name: the parser it delegates to}
     return parser
 
 
@@ -502,9 +558,17 @@ def _join_negative_values(argv):
 
 
 def _parse_args(argv):
-    """argv as ``main`` reads it: ``kernel --gamma0`` sets the one coupling,
-    gamma0 * wc_ts, and refuses a --coupling list beside it."""
-    args = build_parser().parse_args(_join_negative_values(argv))
+    """argv as ``main`` reads it: by the subcommand's own parser when argv
+    starts with its name, else, and for the "unrecognized arguments" error
+    only it prints, by the top-level parser. ``kernel --gamma0`` sets the one
+    coupling, gamma0 * wc_ts, and refuses a --coupling list beside it."""
+    argv = _join_negative_values(argv)
+    sub = build_parser().subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if sub is None or extras:
+        args = build_parser().parse_args(argv)
     if args.command == "kernel" and args.gamma0 is not None:
         if args.coupling is not _DEFAULT_COUPLINGS:
             raise NmqemError("--gamma0 sets the coupling (gamma0 * wc_ts); give it or --coupling, not both")

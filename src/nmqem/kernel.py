@@ -12,12 +12,14 @@ Three evaluators are exposed on purpose:
 
 Both closed forms are evaluated exactly through F(x) = x Si(x) + cos x - 1,
 the integral of Si from 0 to x, with x = wc' u. Re k and Im k share one
-Si(x) per point, at a fixed cost below x = 16.5: one Horner polynomial per
-unit cell [j - 1/2, j + 1/2), Si's degree-16 Taylor polynomial about the
-node j, with coefficients derived at import from Si(j) and the recurrence of
-sin t / t, and below 1/2 a Maclaurin polynomial in x^2. From 16.5 on, a
-continued fraction summed bottom-up at a fixed depth. The two readings
-differ in two explicit identities, which the tests pin:
+Si(x) per point; below x = 1/2, where both brackets, F(x) and
+u - Si(x) / wc', cancel, each is a series in x^2 instead. Si costs a fixed
+amount below x = 16.5: one Horner polynomial per unit cell [j - 1/2,
+j + 1/2), Si's degree-16 Taylor polynomial about the node j, with
+coefficients derived at import from Si(j) and the recurrence of sin t / t,
+and below 1/2 a Maclaurin polynomial in x^2. From 16.5 on, a continued
+fraction summed bottom-up at a fixed depth. The two readings differ in two
+explicit identities, which the tests pin:
 
 * Im k_printed = -Im k_quadrature (opposite sign);
 * Re k_printed = (4 / pi^2) Re k_quadrature + gamma0 (wc' - 1) u
@@ -182,23 +184,21 @@ def re_k_approx(coupling: float, u: float) -> float:
 _F_SMALL = _series_tail(lambda n: (2 * n + 1) * math.factorial(2 * n + 2))
 
 
-def _si_integral(x: float, si: float) -> float:
-    # F(x) = x Si(x) + cos x - 1, the integral of Si over [0, x], given
-    # si = Si(x). The closed form cancels for small x, so below 1/2 the
-    # series x^2/2 - x^4/72 + ... is evaluated instead, cut after
-    # _SMALL_TERMS terms.
-    if x >= 0.5:
-        return x * si + math.cos(x) - 1.0
-    y = x * x
-    return 0.5 * y + y * y * _horner(_F_SMALL, y)
-
-
-def _si_point(p: KernelParams, u: float):
-    # x = wc' u and Si(x), the one sine integral that both parts of k need
+def _brackets(p: KernelParams, u: float):
+    # F(x) = x Si(x) + cos x - 1, the integral of Si over [0, x], and
+    # u - Si(x) / wc', at x = wc' u: the two brackets of k's closed forms,
+    # from one Si(x). Both cancel for small x, so below 1/2 each is its
+    # series in y = x^2 instead, cut after _SMALL_TERMS terms:
+    # F = y/2 + y^2 Q(y) and, as Si = x + x y P(y), u - Si(x) / wc' = -u y P(y),
+    # which is +0 at u = 0.
     if not 0.0 <= u < math.inf:
         raise ValueError("u must be finite and nonnegative")
     x = p.wc_ts * u
-    return x, si_standard(x)
+    if x < 0.5:
+        y = x * x
+        return 0.5 * y + y * y * _horner(_F_SMALL, y), u * y * -_horner(_SI_SMALL, y)
+    si = si_standard(x)
+    return x * si + math.cos(x) - 1.0, u - si / p.wc_ts
 
 
 def k_printed(p: KernelParams, u: float) -> complex:
@@ -209,15 +209,15 @@ def k_printed(p: KernelParams, u: float) -> complex:
     Imaginary part: delta0 * [ u - Si_standard(wc' u) / wc' ], the reading of
     the printed bracket under which Im k(0) = 0.
     """
-    x, si = _si_point(p, u)
+    f, si_bracket = _brackets(p, u)
     wc = p.wc_ts
     re = 0.0
     if p.gamma0 != 0.0:
-        bracket = 0.5 * math.pi * (wc - 1.0) * u + _si_integral(x, si) / wc
+        bracket = 0.5 * math.pi * (wc - 1.0) * u + f / wc
         re = (2.0 / math.pi) * p.gamma0 * bracket
     im = 0.0
     if p.delta0 != 0.0:
-        im = p.delta0 * (u - si / wc)
+        im = p.delta0 * si_bracket
     return complex(re, im)
 
 
@@ -227,12 +227,11 @@ def k_quadrature(p: KernelParams, u: float) -> complex:
     Real part: (pi gamma0 / 2) F(wc' u) / wc'.
     Imaginary part: delta0 * [ Si_standard(wc' u) / wc' - u ].
     """
-    x, si = _si_point(p, u)
-    wc = p.wc_ts
+    f, si_bracket = _brackets(p, u)
     re = 0.0
     if p.gamma0 != 0.0:
-        re = 0.5 * math.pi * p.gamma0 * _si_integral(x, si) / wc
+        re = 0.5 * math.pi * p.gamma0 * f / p.wc_ts
     im = 0.0
     if p.delta0 != 0.0:
-        im = p.delta0 * (si / wc - u)
+        im = p.delta0 * (0.0 - si_bracket)  # 0 - b, not -b, keeps Im k(0) at +0
     return complex(re, im)

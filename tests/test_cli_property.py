@@ -1,6 +1,6 @@
 """Property tests over the numeric argv of ``kernel``, ``cost``, ``predict``
-and ``decompose``, over the documents ``estimate`` reads, and over the CLI's
-own JSON and CSV writers.
+and ``decompose``, over the documents ``estimate`` reads, over how argv is
+parsed, and over the CLI's own JSON and CSV writers.
 
 For any values of the float flags, extremes included, a small ``--steps`` and
 any ``--gate``, ``main`` never raises, returns only 0, 2 or 3, never prints a
@@ -22,8 +22,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from nmqem.channel import input_labels  # noqa: E402
-from nmqem.cli import _emit_csv, _emit_json, main  # noqa: E402
+from nmqem.channel import NmqemError, input_labels  # noqa: E402
+from nmqem.cli import (  # noqa: E402
+    _DEFAULT_COUPLINGS, _emit_csv, _emit_json, _join_negative_values, _parse_args, _RowTable,
+    build_parser, main,
+)
 from nmqem.expdata import OUTCOMES  # noqa: E402
 from test_cli import CASE_FILES  # noqa: E402
 
@@ -244,6 +247,137 @@ def test_json_writer_raises_type_error_as_json_dumps(payload, bad, wrap):
         json.dumps(document, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         _emit_json(document)
+
+
+# row-table names: out of sorted order, non-ASCII, escaped, holding "%" (the
+# row template's own escape), or "nan" and "inf", which send a table to the
+# row dict writer
+ROW_NAMES = st.one_of(
+    st.sampled_from(("u", "coupling", "alpha", "é", "\u2028", 'a"b', "%s", "100%", "nan", "info")),
+    st.text(max_size=4),
+)
+# cells of every JSON scalar type, and containers, which send their table to
+# the recursive writer
+ROW_CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from(EDGE_FLOATS), st.text(),
+    st.lists(st.floats(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def row_tables(draw):
+    """(header, rows): a few names, repeats allowed, and up to six rows of one
+    cell per name, drawn from one type per column or from any type."""
+    header = draw(st.lists(ROW_NAMES, max_size=5))
+    columns = [draw(st.sampled_from((ROW_CELLS, st.floats(), st.text(), st.booleans())))
+               for _ in header]
+    rows = draw(st.lists(st.tuples(*columns).map(list), max_size=6))
+    return header, rows
+
+
+def as_dicts(header, rows):
+    return [dict(zip(header, row)) for row in rows]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table=row_tables())
+# a template reused, then rebuilt for a None, a str, a NaN and a bool cell
+@example(table=(["u", "cost", "ok"], [[0.5, 1.25, True], [0.75, 2.5, True], [1.0, None, False],
+                                       [1.0, "x", True], [1.0, math.nan, False]]))
+@example(table=(["b", "a"], []))
+@example(table=([], [[], []]))
+def test_row_table_writer_equals_json_dumps_of_its_dicts(table):
+    header, rows = table
+    assert _emit_json(_RowTable(header, rows)) == json.dumps(as_dicts(header, rows), indent=2,
+                                                             sort_keys=True)
+    nested = {"z": 0, "rows": _RowTable(header, rows), "a": [[_RowTable(header, rows)]]}
+    expected = {"z": 0, "rows": as_dicts(header, rows), "a": [[as_dicts(header, rows)]]}
+    assert _emit_json(nested) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [1j, {1, 2}, object(), [1j]])
+def test_row_table_writer_raises_type_error_as_json_dumps(bad):
+    header, rows = ["u", "k"], [[0.5, 1.0], [0.5, bad]]
+    with pytest.raises(TypeError):
+        json.dumps(as_dicts(header, rows), indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _emit_json(_RowTable(header, rows))
+
+
+# Each subcommand's own flags; --format and --out belong to every one.
+FLAGS = {
+    "gamma-check": (),
+    "kernel": ("--coupling", "--u-max", "--steps", "--mode", "--gamma0", "--delta0", "--wc-ts"),
+    "cost": ("--gate", "--coupling", "--u-max", "--steps"),
+    "predict": ("--gate", "--alpha"),
+    "estimate": ("--counts", "--gate"),
+    "decompose": ("--gate", "--alpha"),
+}
+VALID = {"--gate": "swap", "--format": "json", "--mode": "printed", "--coupling": "7e-4,7e-3",
+         "--steps": "3", "--counts": "x.json", "--out": "x.txt"}
+VALUES = ("swap", "cnot", "json", "table", "printed", "0.02", "3", "7e-4,7e-3", "x.json", "",
+          "-1e-3", "-0.5", "-2", "-inf", "nan", "1e308")
+REQUIRED = {
+    "cost": ["--gate", "swap"],
+    "predict": ["--gate", "swap", "--alpha", "0.02"],
+    "estimate": ["--counts", "x.json"],
+    "decompose": ["--gate", "identity", "--alpha", "0.05"],
+}
+STRAY = ("--", "-h", "--help", "--bogus", "-x", "fit", "kernel", "stray", "-1e-3", "-2")
+
+
+@st.composite
+def parser_argvs(draw):
+    """argv that mostly starts with a subcommand, then its flags, whole or
+    abbreviated (--coup), with a value, joined by "=", or none, among stray
+    tokens: "--", help, unknown flags, positionals and negative numbers."""
+    head = draw(st.sampled_from((*FLAGS, *FLAGS, None, "fit", "-h", "--", "-1e-3")))
+    argv = [] if head is None else [head]
+    if draw(st.booleans()):  # the required flags first, so that more argv parse
+        argv += REQUIRED.get(head, [])
+    flags = FLAGS.get(head, ()) + ("--format", "--out", "--alpha")
+    for _ in range(draw(st.integers(0, 4))):
+        full = draw(st.sampled_from(flags))
+        flag = full[:draw(st.integers(3, len(full)))]
+        value = draw(st.one_of(st.just(VALID.get(full, "0.02")), st.sampled_from(VALUES)))
+        argv += draw(st.sampled_from(([flag, value], [flag, value], [f"{flag}={value}"], [flag],
+                                      [draw(st.sampled_from(STRAY))])))
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """The namespace that parsing argv gives, as comparable text, or the exit
+    code and the bytes that the parser printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+        except NmqemError as exc:
+            return "error", str(exc)
+
+
+def top_level_parse(argv):
+    """argv read by the top-level parser alone, then ``kernel --gamma0`` set
+    as ``_parse_args`` sets it."""
+    args = build_parser().parse_args(_join_negative_values(argv))
+    if args.command == "kernel" and args.gamma0 is not None:
+        if args.coupling is not _DEFAULT_COUPLINGS:
+            raise NmqemError("--gamma0 sets the coupling (gamma0 * wc_ts); give it or --coupling, not both")
+        args.coupling = [args.gamma0 * args.wc_ts]
+    return args
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=parser_argvs())
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "stray"])
+@example(argv=["kernel", "--coup", "7e-3", "--", "-h"])
+@example(argv=["cost", "-h", "--gate", "cnot"])
+@example(argv=["predict", "--gate=swap", "--alpha", "-1e-3"])
+@example(argv=[])
+def test_subcommand_dispatch_equals_the_top_level_parser(argv):
+    assert parse_outcome(_parse_args, argv) == parse_outcome(top_level_parse, argv)
 
 
 def cli_stdout(argv):

@@ -123,3 +123,20 @@ def test_small_x_series_against_mpmath_taylor(tail, first, f):
     for n, c in enumerate(tail[::-1], start=1):
         e = exact[first + 2 * n]
         assert abs(c - e) <= 0.5 * math.ulp(c), n
+
+
+def test_im_k_keeps_its_relative_precision_at_small_x():
+    # Im k = delta0 (u - Si(x) / wc') at x = wc' u cancels as x -> 0, so below
+    # x = 1/2 both readings take the bracket from Si's series, -u x^2 P(x^2);
+    # against mpmath at 60 digits it keeps 1e-14 relative down to x = 1e-12
+    rng = random.Random(32)
+    with mpmath.workdps(60):
+        for _ in range(500):
+            x = math.exp(rng.uniform(math.log(1e-12), math.log(0.5)))
+            wc = rng.choice((0.5, 3.0, 10.0, 10.45))
+            u = x / wc
+            p = KernelParams(1.0, 0.5, wc)
+            exact = mpmath.mpf(0.5) * (u - mpmath.si(mpmath.mpf(wc) * u) / wc)
+            for evaluator, sign in ((k_printed, 1), (k_quadrature, -1)):
+                im = evaluator(p, u).imag
+                assert abs(im - sign * exact) <= 1e-14 * abs(exact), (evaluator.__name__, x, wc)
