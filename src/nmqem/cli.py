@@ -304,7 +304,7 @@ def cmd_kernel(args):
                     row.append(k.imag)
                 rows.append(row)
     for row in rows:
-        if not all(math.isfinite(v) for v in row[2:]):
+        if not math.isfinite(row[2]) or with_im and not math.isfinite(row[3]):
             raise NmqemError(f"k overflows at coupling={row[0]}, u={row[1]}")
     return EXIT_OK, {
         "json": lambda: {"mode": args.mode, "rows": _RowTable(header, rows)},

@@ -17,9 +17,12 @@ u - Si(x) / wc', cancel, each is a series in x^2 instead. Si costs a fixed
 amount below x = 16.5: one Horner polynomial per unit cell [j - 1/2,
 j + 1/2), Si's degree-16 Taylor polynomial about the node j, with
 coefficients derived at import from Si(j) and the recurrence of sin t / t,
-and below 1/2 a Maclaurin polynomial in x^2. From 16.5 on, a continued
-fraction summed bottom-up at a fixed depth. The two readings differ in two
-explicit identities, which the tests pin:
+and below 1/2 a Maclaurin polynomial in x^2. A cell's polynomial is written
+out as one Horner expression in its 17 coefficients: the multiplications
+and additions of a Horner loop, in the same order, without the loop's
+interpreter cost. From 16.5 on, a continued fraction summed bottom-up at a
+fixed depth. The two readings differ in two explicit identities, which the
+tests pin:
 
 * Im k_printed = -Im k_quadrature (opposite sign);
 * Re k_printed = (4 / pi^2) Re k_quadrature + gamma0 (wc' - 1) u
@@ -42,6 +45,9 @@ __all__ = [
     "k_quadrature",
 ]
 
+_HALF_PI = 0.5 * math.pi
+_TWO_OVER_PI = 2.0 / math.pi
+
 
 class KernelParams:
     """Bath/coupling parameters: gamma0 and delta0 lump the microscopic
@@ -50,9 +56,12 @@ class KernelParams:
     __slots__ = ("gamma0", "delta0", "wc_ts")
 
     def __init__(self, gamma0: float, delta0: float, wc_ts: float):
-        for name, v in (("gamma0", gamma0), ("delta0", delta0), ("wc_ts", wc_ts)):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(gamma0):
+            raise ValueError("gamma0 must be finite")
+        if not math.isfinite(delta0):
+            raise ValueError("delta0 must be finite")
+        if not math.isfinite(wc_ts):
+            raise ValueError("wc_ts must be finite")
         if gamma0 < 0 or delta0 < 0:
             raise ValueError("gamma0 and delta0 must be nonnegative")
         if wc_ts <= 0:
@@ -92,7 +101,7 @@ def _si_continued_fraction(x: float) -> float:
     t = 2 * n + 1 + ix
     for k in range(n, 0, -1):
         t = 2 * k - 1 + ix - k * k / t
-    return 0.5 * math.pi + (complex(math.cos(x), -math.sin(x)) / t).imag
+    return _HALF_PI + (complex(math.cos(x), -math.sin(x)) / t).imag
 
 
 def _horner(coefficients, h: float) -> float:
@@ -111,7 +120,7 @@ def _horner(coefficients, h: float) -> float:
 # Each is its first term plus a correction, so the last addition rounds
 # once; the terms left out weigh less than 1e-20 of Si.
 _SMALL_TERMS = 8
-_SI_DEGREE = 16
+_SI_DEGREE = 16  # si_standard writes its cell polynomial out for this degree
 _SI_NODES = 16
 _SI_TOP = _SI_NODES + 0.5
 
@@ -158,14 +167,20 @@ def si_standard(x: float) -> float:
         return x + x * y * _horner(_SI_SMALL, y)
     if x < _SI_TOP:
         j = int(x + 0.5)
-        return _horner(_SI_CELLS[j], x - j)
+        h = x - j
+        (c16, c15, c14, c13, c12, c11, c10, c9, c8,
+         c7, c6, c5, c4, c3, c2, c1, c0) = _SI_CELLS[j]
+        return (((((((((((((((c16 * h + c15) * h + c14) * h + c13) * h + c12)
+                          * h + c11) * h + c10) * h + c9) * h + c8) * h + c7)
+                     * h + c6) * h + c5) * h + c4) * h + c3) * h + c2)
+                * h + c1) * h + c0
     return _si_continued_fraction(x)
 
 
 def si_shifted(x: float) -> float:
     """Sine integral shifted by -pi/2, the convention used by the kernel:
     tends to -pi/2 at 0 and to 0 at infinity."""
-    return si_standard(x) - 0.5 * math.pi
+    return si_standard(x) - _HALF_PI
 
 
 def re_k_approx(coupling: float, u: float) -> float:
@@ -177,7 +192,7 @@ def re_k_approx(coupling: float, u: float) -> float:
         raise ValueError("u must be nonnegative")
     if coupling == 0.0:
         return coupling  # its signed zero, not 0 * inf = nan once u * u overflows
-    return (2.0 / math.pi) * coupling * (0.5 * math.pi * u + 0.5 * u * u)
+    return _TWO_OVER_PI * coupling * (_HALF_PI * u + 0.5 * u * u)
 
 
 # sum (-1)^n x^(2n+2) / ((2n+1) (2n+2)!) = x^2/2 + x^4 Q(x^2), F(x) below 1/2
@@ -193,12 +208,13 @@ def _brackets(p: KernelParams, u: float):
     # which is +0 at u = 0.
     if not 0.0 <= u < math.inf:
         raise ValueError("u must be finite and nonnegative")
-    x = p.wc_ts * u
+    wc = p.wc_ts
+    x = wc * u
     if x < 0.5:
         y = x * x
         return 0.5 * y + y * y * _horner(_F_SMALL, y), u * y * -_horner(_SI_SMALL, y)
     si = si_standard(x)
-    return x * si + math.cos(x) - 1.0, u - si / p.wc_ts
+    return x * si + math.cos(x) - 1.0, u - si / wc
 
 
 def k_printed(p: KernelParams, u: float) -> complex:
@@ -213,8 +229,8 @@ def k_printed(p: KernelParams, u: float) -> complex:
     wc = p.wc_ts
     re = 0.0
     if p.gamma0 != 0.0:
-        bracket = 0.5 * math.pi * (wc - 1.0) * u + f / wc
-        re = (2.0 / math.pi) * p.gamma0 * bracket
+        bracket = _HALF_PI * (wc - 1.0) * u + f / wc
+        re = _TWO_OVER_PI * p.gamma0 * bracket
     im = 0.0
     if p.delta0 != 0.0:
         im = p.delta0 * si_bracket
@@ -230,7 +246,7 @@ def k_quadrature(p: KernelParams, u: float) -> complex:
     f, si_bracket = _brackets(p, u)
     re = 0.0
     if p.gamma0 != 0.0:
-        re = 0.5 * math.pi * p.gamma0 * f / p.wc_ts
+        re = _HALF_PI * p.gamma0 * f / p.wc_ts
     im = 0.0
     if p.delta0 != 0.0:
         im = p.delta0 * (0.0 - si_bracket)  # 0 - b, not -b, keeps Im k(0) at +0

@@ -552,6 +552,10 @@ BOUNDARY_CASES = {
         ["kernel", "--mode", "quadrature", "--gamma0", "1e307", "--steps", "3"], 2),
     "kernel-approx-re-k-overflow": (
         ["kernel", "--gamma0", "1e306", "--u-max", "1e3", "--steps", "3"], 2),
+    # finite Re k and an Im k that overflows, in the fourth column alone
+    "kernel-printed-im-k-overflow": (
+        ["kernel", "--mode", "printed", "--gamma0", "1e-3", "--delta0", "1e308", "--wc-ts", "1e-3",
+         "--u-max", "1000", "--steps", "2"], 2),
     # alpha overflows (out of domain, so the cost cell alone would be empty)
     "cost-alpha-overflow": (
         ["cost", "--gate", "swap", "--coupling", "1e308", "--u-max", "1e10", "--steps", "2"], 2),

@@ -43,6 +43,36 @@ class TestParams:
         with pytest.raises(ValueError):
             KernelParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma0", "delta0", "wc_ts"])
+    def test_non_finite_field_is_named(self, field, value):
+        kwargs = {"gamma0": 1.0, "delta0": 0.5, "wc_ts": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            KernelParams(**kwargs)
+
+    @pytest.mark.parametrize("gamma0, delta0, wc_ts, message", [
+        # several bad fields: the first failing check, in field order and
+        # with every finiteness check before the sign checks, names its field
+        (math.nan, math.inf, 0.0, "gamma0 must be finite"),
+        (math.inf, 0.5, math.nan, "gamma0 must be finite"),
+        (1.0, -math.inf, math.nan, "delta0 must be finite"),
+        (-1.0, math.nan, -1.0, "delta0 must be finite"),
+        (-1.0, -1.0, -math.inf, "wc_ts must be finite"),
+        (-1.0, -1.0, 0.0, "gamma0 and delta0 must be nonnegative"),
+        (-1.0, 0.5, 10.0, "gamma0 and delta0 must be nonnegative"),
+        (1.0, -0.5, 10.0, "gamma0 and delta0 must be nonnegative"),
+        (1.0, 0.5, 0.0, "wc_ts must be positive"),
+        (1.0, 0.5, -0.0, "wc_ts must be positive"),
+        (1.0, 0.5, -1.0, "wc_ts must be positive"),
+    ])
+    def test_error_text_and_order(self, gamma0, delta0, wc_ts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KernelParams(gamma0, delta0, wc_ts)
+
+    def test_negative_zero_gamma0_accepted(self):
+        p = KernelParams(-0.0, 0.5, 10.0)
+        assert math.copysign(1.0, p.gamma0) == -1.0
+
 
 class TestSineIntegral:
     def test_limits(self):
@@ -76,6 +106,24 @@ class TestSineIntegral:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             si_standard(-0.1)
+
+    def test_every_cell_has_seventeen_coefficients(self):
+        # si_standard unpacks each cell into 17 names, so a change of
+        # degree must fail here first
+        assert kernel._SI_DEGREE + 1 == 17
+        assert len(kernel._SI_CELLS) == kernel._SI_NODES + 1
+        for j in range(1, kernel._SI_NODES + 1):
+            assert len(kernel._SI_CELLS[j]) == 17, j
+
+    def test_cell_expression_is_horner(self):
+        # the written-out cell polynomial gives _horner's bits, at both
+        # edges of each cell, at its node and on a grid inside it
+        for j in range(1, kernel._SI_NODES + 1):
+            low, high = j - 0.5, math.nextafter(j + 0.5, 0.0)
+            xs = [low, high, float(j)] + [low + (high - low) * k / 64 for k in range(1, 64)]
+            for x in xs:
+                expected = kernel._horner(kernel._SI_CELLS[j], x - j)
+                assert si_standard(x).hex() == expected.hex(), x
 
 
 class TestReKApprox:
