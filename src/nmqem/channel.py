@@ -61,6 +61,11 @@ __all__ = [
     "predict_table",
     "to_computational",
     "GATES",
+    "basis_for_gate",
+    "input_labels",
+    "ALPHA_CP",
+    "ALPHA_MAX",
+    "COMPUTATIONAL_LABELS",
 ]
 
 ALPHA_CP = 1.0 / 3.0  # completely positive exactly on [0, 1/3]: p_I = 1 - 3 alpha >= 0

@@ -374,7 +374,7 @@ def cmd_estimate(args):
         ct = expdata.load_counts(fh)
     if args.gate is not None and args.gate != ct.gate:
         raise expdata.SchemaError(f"--gate {args.gate} disagrees with file gate {ct.gate}")
-    est = expdata.estimate_re_k(expdata.normalize(ct), ct.gate)
+    est = expdata.estimate_re_k(expdata.normalize(ct))
     header = ["min", "max", "lsq", "residual", "coupling_at_u1"]
     coupling = expdata.fit_coupling(est.lsq, 1.0)
     values = [est.min, est.max, est.lsq, est.residual, coupling]
@@ -383,8 +383,7 @@ def cmd_estimate(args):
 
     def payload():
         report = dict(zip(header, values), gate=ct.gate, device=ct.device, lsq_note=note,
-                      per_cell=_RowTable(("input", "output", "role", "estimate"), [
-                          (c.input, c.output, c.role, c.estimate) for c in est.per_cell]))
+                      per_cell=_RowTable(expdata.CellEstimate._fields, est.per_cell))
         if ref is not None:
             report["reference_range"], report["divergence"] = list(ref[0]), ref[1]
         return report

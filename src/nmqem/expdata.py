@@ -16,16 +16,20 @@ over all cells is an extension beyond those ranges so a single alpha can
 drive the coupling fit reproducibly.
 
 A document that cannot be read raises a ``DataError``: ``ParseError``,
-``SchemaError`` or ``EmptyRun``.
+``SchemaError`` or ``EmptyRun``. The records passed along the way,
+``CountTable``, ``ProbTable``, ``CellEstimate`` and ``RekEstimate``, are
+named tuples: read-only, and equal when their fields are. A ``ProbTable``
+carries its gate, and ``estimate_re_k`` reads the cells of that gate.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import sys
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .channel import COMPUTATIONAL_LABELS as OUTCOMES, GATES, NmqemError, input_labels, predict_table
 from .kernel import re_k_approx
@@ -83,42 +87,12 @@ class EmptyRun(DataError):
     """A run has no recorded outcomes."""
 
 
-class CountTable:
-    __slots__ = ("gate", "device", "shots", "runs", "kind")
-
-    def __init__(self, gate: str, device: str, shots: int, runs: Dict[str, Dict[str, float]],
-                 kind: str = "counts"):
-        self.gate, self.device, self.shots, self.kind = gate, device, shots, kind
-        # runs[input_label] -> outcome -> weight; ints for counts documents,
-        # floats for the probability variant.
-        self.runs = runs
-
-
-class ProbTable:
-    __slots__ = ("gate", "device", "matrix")
-
-    def __init__(self, gate: str, device: str, matrix: Tuple[Tuple[float, ...], ...]):
-        self.gate, self.device = gate, device
-        self.matrix = matrix  # matrix[out][in]
-
-    def cell(self, out_idx: int, in_idx: int) -> float:
-        return self.matrix[out_idx][in_idx]
-
-
-class CellEstimate:
-    __slots__ = ("input", "output", "role", "estimate")
-
-    def __init__(self, input: str, output: str, role: str, estimate: float):
-        self.input, self.output, self.role, self.estimate = input, output, role, estimate
-
-
-class RekEstimate:
-    __slots__ = ("per_cell", "min", "max", "lsq", "residual")
-
-    def __init__(self, per_cell: List[CellEstimate], min: float, max: float, lsq: float,
-                 residual: float):
-        self.per_cell, self.min, self.max = per_cell, min, max
-        self.lsq, self.residual = lsq, residual
+# runs[input_label] -> outcome -> weight; ints for counts documents, floats
+# for the probability variant; kind is "counts" or "probs".
+CountTable = collections.namedtuple("CountTable", "gate device shots runs kind")
+ProbTable = collections.namedtuple("ProbTable", "gate device matrix")  # matrix[out][in]
+CellEstimate = collections.namedtuple("CellEstimate", "input output role estimate")
+RekEstimate = collections.namedtuple("RekEstimate", "per_cell min max lsq residual")
 
 
 def load_counts(source) -> CountTable:
@@ -212,7 +186,7 @@ def load_counts(source) -> CountTable:
     missing = expected_inputs - set(runs)
     if missing:
         raise SchemaError(f"missing runs for inputs {sorted(missing)}")
-    return CountTable(gate, device, shots, runs, kind or "counts")
+    return CountTable(gate, device, shots, runs, kind)
 
 
 def normalize(ct: CountTable) -> ProbTable:
@@ -252,17 +226,16 @@ def classify_cells(gate: str):
     )
 
 
-def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
+def estimate_re_k(pt: ProbTable) -> RekEstimate:
     """Per-cell estimates of alpha = Re k plus range and least squares.
 
     min/max range over the (0, 1) cells only, p = alpha (the off-diagonal
     leakage cells); the least-squares estimate uses every cell's affine pair.
-    A cell with slope 0 carries no estimate.
+    A cell with slope 0 carries no estimate. The cells are those of the
+    table's own gate, ``pt.gate``.
     """
-    if gate != pt.gate:
-        raise ValueError(f"gate {gate!r} does not match table gate {pt.gate!r}")
-    cells = classify_cells(gate)
-    in_labels = input_labels(gate)
+    cells = classify_cells(pt.gate)
+    in_labels = input_labels(pt.gate)
     per_cell = []
     alpha_cells = []
     num = 0.0
@@ -270,7 +243,7 @@ def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
     for i in range(4):
         for j in range(4):
             a, b = cells[i][j]
-            p = pt.cell(i, j)
+            p = pt.matrix[i][j]
             num += b * (p - a)
             den += b * b
             if b == 0.0:
@@ -287,14 +260,8 @@ def estimate_re_k(pt: ProbTable, gate: str) -> RekEstimate:
     for i in range(4):
         for j in range(4):
             a, b = cells[i][j]
-            ssr += (pt.cell(i, j) - a - b * lsq) ** 2
-    return RekEstimate(
-        per_cell=per_cell,
-        min=min(alpha_cells),
-        max=max(alpha_cells),
-        lsq=lsq,
-        residual=math.sqrt(ssr),
-    )
+            ssr += (pt.matrix[i][j] - a - b * lsq) ** 2
+    return RekEstimate(per_cell, min(alpha_cells), max(alpha_cells), lsq, math.sqrt(ssr))
 
 
 def fit_coupling(re_k: float, u: float) -> float:

@@ -17,6 +17,8 @@ inverts nothing. It computes the channel determinant, the eigenvalues
 1 - 2 w alpha multiplied tr P_w times (``_FACTORS``), once, and reads its
 closed-form record, (B, C, D, E) or (F, G, H), off the entries it computes,
 at the positions ``_RECORD`` reads off the printed pattern (``_PRINTED``).
+It returns a ``RecoveryOp``, a named tuple of the gate, alpha, V^-1, that
+record and the Gamma weights.
 
 Independent oracles, which the tests compare with the spectral route:
 ``recovery_numeric`` (LU), ``gamma.decompose`` (trace formula) and exact
@@ -43,8 +45,9 @@ a finite inverse; its reason is stated there, beside the map's Pauli form.
 
 from __future__ import annotations
 
+import collections
 import warnings
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import gamma as gamma_mod
 from .channel import (_CHANNEL, _PROJECTORS, ALPHA_MAX, AlphaOutOfRange, Channel, NmqemError,
@@ -234,15 +237,9 @@ def printed_cost(gate: str):
     return globals()[name]
 
 
-class RecoveryOp:
-    """A recovery operator with both coefficient records attached."""
-
-    __slots__ = ("gate", "alpha", "matrix", "coeffs", "gamma")
-
-    def __init__(self, gate: str, alpha: float, matrix: CMat, coeffs: Dict[str, float],
-                 gamma: gamma_mod.GammaCoeffs):
-        self.gate, self.alpha, self.matrix, self.gamma = gate, alpha, matrix, gamma
-        self.coeffs = coeffs  # closed-form record (B,C,D,E) or (F,G,H)
+# A recovery operator with both coefficient records attached: the closed-form
+# record (B, C, D, E) or (F, G, H) as coeffs, the Gamma weights as gamma.
+RecoveryOp = collections.namedtuple("RecoveryOp", "gate alpha matrix coeffs gamma")
 
 
 def recovery_op(gate: str, alpha: float) -> RecoveryOp:

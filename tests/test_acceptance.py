@@ -278,7 +278,7 @@ def test_criterion_08_estimation_vs_published_tables():
     ]
     for name, gate, field, value in expectations:
         ct = expdata.load_counts((FIXTURES / name).read_text())
-        est = expdata.estimate_re_k(expdata.normalize(ct), gate)
+        est = expdata.estimate_re_k(expdata.normalize(ct))
         got = getattr(est, field)
         _check(
             failures,
@@ -307,7 +307,7 @@ def test_criterion_09_round_trips():
     for gate in ("swap", "identity"):
         for alpha in (0.005, 0.01, 0.02, 0.05):
             pt = expdata.ProbTable(gate, "synthetic", predict_table(gate, alpha))
-            est = expdata.estimate_re_k(pt, gate)
+            est = expdata.estimate_re_k(pt)
             for field in ("min", "max", "lsq"):
                 _check(
                     failures,

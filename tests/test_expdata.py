@@ -93,7 +93,7 @@ class TestLoadCounts:
 
     def test_valid_base_doc(self):
         ct = load_counts(json.dumps(self.base_doc()))
-        assert normalize(ct).cell(0, 0) == 1.0
+        assert normalize(ct).matrix[0][0] == 1.0
 
     def test_unknown_gate(self):
         doc = self.base_doc()
@@ -200,16 +200,16 @@ class TestLoadCounts:
 class TestNormalize:
     def test_published_column(self):
         pt = normalize(load_fixture("table2_ionq_swap.json"))
-        assert pt.cell(0, 0) == pytest.approx(0.955)
-        assert pt.cell(1, 0) == pytest.approx(0.017)
-        assert pt.cell(2, 0) == pytest.approx(0.018)
-        assert pt.cell(3, 0) == pytest.approx(0.010)
+        assert pt.matrix[0][0] == pytest.approx(0.955)
+        assert pt.matrix[1][0] == pytest.approx(0.017)
+        assert pt.matrix[2][0] == pytest.approx(0.018)
+        assert pt.matrix[3][0] == pytest.approx(0.010)
 
     def test_columns_sum_to_one(self):
         for name in ("table3_ibm_swap.json", "table6_ibm_identity.json"):
             pt = normalize(load_fixture(name))
             for j in range(4):
-                assert sum(pt.cell(i, j) for i in range(4)) == pytest.approx(1.0)
+                assert sum(pt.matrix[i][j] for i in range(4)) == pytest.approx(1.0)
 
     def test_empty_run(self):
         ct = CountTable(
@@ -222,6 +222,7 @@ class TestNormalize:
                 "10": {"00": 10, "01": 0, "10": 0, "11": 0},
                 "11": {"00": 10, "01": 0, "10": 0, "11": 0},
             },
+            "counts",
         )
         with pytest.raises(EmptyRun):
             normalize(ct)
@@ -293,35 +294,31 @@ class TestEstimate:
     @pytest.mark.parametrize("alpha", [0.005, 0.01, 0.02, 0.05])
     def test_round_trip_on_exact_tables(self, gate, alpha):
         pt = prob_table_from_predicted(gate, alpha)
-        est = estimate_re_k(pt, gate)
+        est = estimate_re_k(pt)
         assert est.min == pytest.approx(alpha, abs=1e-12)
         assert est.max == pytest.approx(alpha, abs=1e-12)
         assert est.lsq == pytest.approx(alpha, abs=1e-12)
         assert est.residual == pytest.approx(0.0, abs=1e-10)
 
     def test_published_swap_tables(self):
-        est = estimate_re_k(normalize(load_fixture("table2_ionq_swap.json")), "swap")
+        est = estimate_re_k(normalize(load_fixture("table2_ionq_swap.json")))
         assert est.min == pytest.approx(0.006, abs=1e-12)
         assert est.max == pytest.approx(0.023, abs=1e-12)
-        est = estimate_re_k(normalize(load_fixture("table3_ibm_swap.json")), "swap")
+        est = estimate_re_k(normalize(load_fixture("table3_ibm_swap.json")))
         assert est.min == pytest.approx(0.016, abs=1e-12)
         assert est.max == pytest.approx(0.056, abs=1e-12)
 
     def test_published_identity_tables(self):
-        est = estimate_re_k(
-            normalize(load_fixture("table5_ionq_identity.json")), "identity"
-        )
+        est = estimate_re_k(normalize(load_fixture("table5_ionq_identity.json")))
         assert est.min == pytest.approx(0.001, abs=1e-12)
         assert est.max == pytest.approx(0.024, abs=1e-12)
-        est = estimate_re_k(
-            normalize(load_fixture("table6_ibm_identity.json")), "identity"
-        )
+        est = estimate_re_k(normalize(load_fixture("table6_ibm_identity.json")))
         assert est.min == pytest.approx(0.004, abs=1e-12)
         assert est.max == pytest.approx(0.028, abs=1e-12)
 
     def test_per_cell_covers_nonzero_roles(self):
         pt = prob_table_from_predicted("swap", 0.02)
-        est = estimate_re_k(pt, "swap")
+        est = estimate_re_k(pt)
         assert len(est.per_cell) == 14  # 16 cells minus the 2 structural zeros
         alpha_cells = [c for c in est.per_cell if c.role == ROLE_ALPHA]
         assert len(alpha_cells) == 8
@@ -330,7 +327,7 @@ class TestEstimate:
     def test_each_role_names_its_cell_pair(self, gate):
         cells = classify_cells(gate)
         inputs = input_labels(gate)
-        est = estimate_re_k(prob_table_from_predicted(gate, 0.02), gate)
+        est = estimate_re_k(prob_table_from_predicted(gate, 0.02))
         assert [(c.input, c.output, c.role) for c in est.per_cell] == [
             (inputs[j], OUTCOMES[i], ROLE_NAMES[cells[i][j]])
             for i in range(4)
@@ -357,7 +354,7 @@ class TestEstimate:
         for gate in ("swap", "identity"):
             cells = classify_cells(gate)
             for table in tables:
-                est = estimate_re_k(ProbTable(gate, "synthetic", table), gate)
+                est = estimate_re_k(ProbTable(gate, "synthetic", table))
                 want = [
                     inverse[cells[i][j]](table[i][j])
                     for i in range(4)
@@ -365,11 +362,6 @@ class TestEstimate:
                     if cells[i][j] != ZERO
                 ]
                 assert [c.estimate.hex() for c in est.per_cell] == [w.hex() for w in want]
-
-    def test_gate_mismatch(self):
-        pt = prob_table_from_predicted("swap", 0.02)
-        with pytest.raises(ValueError):
-            estimate_re_k(pt, "identity")
 
     def test_lsq_perturbation_bound(self):
         # symmetric noise of size eps moves the least-squares estimate O(eps)
@@ -384,7 +376,7 @@ class TestEstimate:
         noisy = tuple(
             tuple(base[i][j] + noise[i][j] for j in range(4)) for i in range(4)
         )
-        est = estimate_re_k(ProbTable("swap", "synthetic", noisy), "swap")
+        est = estimate_re_k(ProbTable("swap", "synthetic", noisy))
         assert abs(est.lsq - 0.02) <= 2 * eps
 
 
@@ -427,7 +419,7 @@ class TestReferenceRanges:
         }
         for name, (gate, n_flags) in expectations.items():
             ct = load_fixture(name)
-            est = estimate_re_k(normalize(ct), gate)
+            est = estimate_re_k(normalize(ct))
             result = divergence_flags(est, gate, ct.device)
             assert result is not None
             _, flags = result
@@ -435,13 +427,13 @@ class TestReferenceRanges:
 
     def test_no_reference_returns_none(self):
         pt = prob_table_from_predicted("swap", 0.02)
-        est = estimate_re_k(pt, "swap")
+        est = estimate_re_k(pt)
         assert divergence_flags(est, "swap", "synthetic") is None
 
     def test_matching_range_has_no_flags(self):
         # boundaries equal to the published values, within tolerance
         pt = prob_table_from_predicted("swap", 0.02)
-        est = estimate_re_k(pt, "swap")
+        est = estimate_re_k(pt)
         fixed = est.__class__(est.per_cell, 6.0e-3, 1.8e-2, est.lsq, est.residual)
         _, flags = divergence_flags(fixed, "swap", "ionq")
         assert flags == []
