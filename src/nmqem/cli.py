@@ -11,11 +11,14 @@ Subcommands, and the layouts each builds::
 
 Each ``cmd_*`` computes its report and returns its exit code and its layouts,
 each built only when asked for: the JSON payload, whose row lists are
-``_RowTable``s, the CSV (header, rows) and the table's lines. ``main`` alone picks the one --format names and writes it
-through ``_WRITERS``; a subcommand with a single row layout prints it for both
-csv and table. argv that starts with a subcommand's name is read by that
-subcommand's own parser, the one the top-level parser delegates to, and any
-other argv by the top-level parser.
+``_RowTable``s, the CSV (header, rows) and the table's lines. ``main`` alone
+picks the one --format names and writes it through ``_WRITERS``; a
+subcommand with a single row layout prints it for both csv and table. argv
+that starts with a subcommand's name is read by that subcommand's own parser,
+the one the top-level parser delegates to, and any other argv by the
+top-level parser. A row table, CSV or JSON, is written with one %-format call
+on its flattened cells. kernel and cost refuse a table of more than
+``MAX_ROWS`` rows, --steps per coupling, before building any row.
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import itertools
 import json
 import math
 import operator
@@ -57,25 +61,25 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{z.imag:+.10g}j"
 
 
-def _csv_cell(kind: type) -> str:
-    """The %-format of a CSV cell of type ``kind``: a float at 10 significant
-    digits, None as an empty cell ("%.0s" prints none of "None"), else str()."""
-    return "%.10g" if issubclass(kind, float) else "%.0s" if kind is type(None) else "%s"
+@functools.lru_cache(maxsize=None)
+def _csv_template(kinds: tuple) -> str:
+    """The %-format of a CSV row of cell types ``kinds``: a float at 10
+    significant digits, None as an empty cell ("%.0s" prints none of "None"),
+    else str()."""
+    return ",".join("%.10g" if issubclass(kind, float) else "%.0s" if kind is type(None) else "%s"
+                    for kind in kinds)
 
 
 def _emit_csv(header, rows) -> str:
-    """One line per row; a float at 10 significant digits, None as an empty
-    cell, any other value as str(). Each row is one %-format call, through a
-    template rebuilt only when the row's column types change."""
-    lines = [",".join(header)]
-    kinds = template = None
-    for row in rows:
-        row_kinds = tuple(map(type, row))
-        if row_kinds != kinds:
-            kinds = row_kinds
-            template = ",".join(map(_csv_cell, kinds))
-        lines.append(template % tuple(row))
-    return "\n".join(lines)
+    """One line per row, each through ``_csv_template``; the whole table is
+    one %-format call on its flattened cells."""
+    cells = tuple(itertools.chain.from_iterable(rows))
+    widths = set(map(len, rows))
+    if len(widths) == 1 and cells:  # every row's cell types from one pass over the cells
+        kinds = zip(*[map(type, cells)] * widths.pop())
+    else:
+        kinds = map(tuple, map(map, itertools.repeat(type), rows))
+    return "\n".join([",".join(header).replace("%", "%%"), *map(_csv_template, kinds)]) % cells
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -153,38 +157,29 @@ _ROW_TEXT = {str: _json_str, bool: _JSON_SCALAR[bool]}
 
 def _append_rows(parts: list, table: _RowTable, pad: str):
     """Append the text of json.dumps of the table's list of dicts. The keys
-    are sorted and escaped once per table, and each row is one %-format call
-    on its cells in key order, through a template rebuilt only when the
-    cells' types change. A table with a cell of any other type, or whose
-    text holds "nan" or "inf" (%r writes a non-finite float so, where JSON
-    has NaN and Infinity), is written row dict by row dict by _append_json."""
+    are sorted and escaped once per table, and the whole table is one
+    %-format call on its cells in key order, through one template per
+    distinct row of cell types. A table with a cell of any other type, or
+    whose text holds "nan" or "inf" (%r writes a non-finite float so, where
+    JSON has NaN and Infinity), is written row dict by row dict by
+    _append_json."""
     header, rows = table
     column = dict(zip(header, range(len(header))))  # a repeated name keeps its last cell, as in a dict
     if rows and len(column) > 1:  # itemgetter returns a tuple for two keys or more
         keys = sorted(column)
-        pick = operator.itemgetter(*[column[key] for key in keys])
-        inner = pad + "  "
-        names = [(inner + "  " + _json_str(key) + ": ").replace("%", "%%") for key in keys]
-        texts = []
-        kinds = None
-        for row in rows:
-            cells = pick(row)
-            row_kinds = tuple(map(type, cells))
-            if row_kinds != kinds:
-                kinds = row_kinds
-                formats = [_ROW_CELL.get(kind) for kind in kinds]
-                if None in formats:
-                    break
-                template = "{" + ",".join(map(operator.add, names, formats)) + inner + "}"
-                convert = [(i, _ROW_TEXT[kind]) for i, kind in enumerate(kinds) if kind in _ROW_TEXT]
-            if convert:
-                cells = list(cells)
-                for i, text in convert:
-                    cells[i] = text(cells[i])
-                cells = tuple(cells)
-            texts.append(template % cells)
-        else:
-            body = ("," + inner).join(texts)
+        cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*map(column.get, keys)), rows)))
+        kinds = list(map(type, cells))
+        row_kinds = list(zip(*[iter(kinds)] * len(keys)))  # every picked row has one cell per key
+        distinct = set(row_kinds)
+        present = set(itertools.chain.from_iterable(distinct))
+        if present <= _ROW_CELL.keys():
+            inner = pad + "  "
+            names = [(inner + "  " + _json_str(key) + ": ").replace("%", "%%") for key in keys]
+            templates = {k: "{" + ",".join(map(operator.add, names, map(_ROW_CELL.get, k))) + inner + "}"
+                         for k in distinct}
+            if not present.isdisjoint(_ROW_TEXT):
+                cells = [_ROW_TEXT[k](cell) if k in _ROW_TEXT else cell for cell, k in zip(cells, kinds)]
+            body = ("," + inner).join(map(templates.__getitem__, row_kinds)) % tuple(cells)
             if "nan" not in body and "inf" not in body:
                 parts.append("[" + inner + body + pad + "]")
                 return
@@ -257,10 +252,18 @@ def cmd_gamma_check(args):
 # --------------------------------------------------------------------- kernel
 
 
-def _u_grid(u_max: float, steps: int):
-    """The u grid of kernel and cost: steps points from 0 to u_max."""
+# The most rows a kernel or cost table may hold: --steps points per coupling.
+# A longer table is refused before its u grid is built.
+MAX_ROWS = 10 ** 6
+
+
+def _u_grid(u_max: float, steps: int, curves: int):
+    """The u grid of kernel and cost: steps points from 0 to u_max, for a
+    table of ``curves`` curves of steps rows each."""
     if not (0.0 < u_max < math.inf) or steps < 2:
         raise NmqemError("--u-max must be finite and > 0 and --steps >= 2")
+    if steps * curves > MAX_ROWS:
+        raise NmqemError(f"--steps {steps} per coupling makes {steps * curves} rows, more than {MAX_ROWS}")
     grid = [u_max * i / (steps - 1) for i in range(steps)]
     if not math.isfinite(grid[-1]):  # u_max * (steps - 1) overflows
         raise NmqemError(f"the u grid overflows at --u-max {u_max} with --steps {steps}")
@@ -285,7 +288,7 @@ def cmd_kernel(args):
         raise NmqemError("--gamma0 * --wc-ts (the coupling) must be finite")
     if args.mode != "approx" and not all(c / args.wc_ts < math.inf for c in args.coupling):
         raise NmqemError("--coupling / --wc-ts (gamma0) must be finite")
-    grid = _u_grid(args.u_max, args.steps)
+    grid = _u_grid(args.u_max, args.steps, len(args.coupling))
     with_im = args.mode != "approx" and args.delta0 != 0.0
     header = ["coupling", "u", "re_k"] + (["im_k"] if with_im else [])
     rows = []
@@ -318,7 +321,7 @@ def cmd_kernel(args):
 def cmd_cost(args):
     cost_fn = recovery.printed_cost(args.gate)
     header = ["coupling", "u", "alpha", "cost"]
-    grid = _u_grid(args.u_max, args.steps)
+    grid = _u_grid(args.u_max, args.steps, len(args.coupling))
     rows = []
     for coupling in args.coupling:
         for u in grid:

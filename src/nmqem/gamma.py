@@ -14,7 +14,6 @@ are c_r = tr(G_r^dagger M) / 4.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, mul
 from typing import Dict, Tuple
 
 from .linalg import PAULI, CMat, identity, kron, mat_mul
@@ -132,20 +131,24 @@ def _trace_product(a: CMat, b: CMat) -> complex:
 
 
 def is_orthogonal(basis: GammaBasis) -> bool:
-    """Exact Gram check tr(G_r^dagger G_s) = 4 delta_rs over all 16 pairs;
-    it implies that the 16 matrices span all 4x4 matrices. Each trace sums
-    over G_r's nonzero entries alone (``basis.support``, derived from the
-    entries): every term left out has a zero factor, and a non-finite entry
-    of G_s still shows in tr(G_s^dagger G_s)."""
+    """Exact Gram check tr(G_r^dagger G_s) = 4 delta_rs over all 16 pairs,
+    which implies that the 16 span all 4x4 matrices; built in one pass over
+    the flat positions k in ascending order, each pair of matrices nonzero at
+    k (``basis.support``) adding conj(G_r[k]) G_s[k]. A product left out has
+    a zero factor: a signed zero, which changes no sum, when all entries are
+    finite; a non-finite entry is nonzero, so its own trace is non-finite."""
+    n = len(basis.support)
+    at = [[] for _ in range(16)]  # (matrix index, entry) pairs per flat position
     for r, support in enumerate(basis.support):
-        conj = [e.conjugate() for _, e in support]
-        # two spare indices keep take's result a tuple at any support size;
-        # map stops at the end of conj, so they are never multiplied
-        take = itemgetter(*(k for k, _ in support), 0, 0)
-        for s, b in enumerate(basis.matrices):
-            if sum(map(mul, conj, take(b.entries))) != (4 if r == s else 0):
-                return False
-    return True
+        for k, e in support:
+            at[k].append((r, e))
+    gram = [0j] * (n * n)
+    for pairs in at:
+        for r, a in pairs:
+            a, row = a.conjugate(), r * n
+            for s, b in pairs:
+                gram[row + s] += a * b
+    return gram[::n + 1] == [4] * n and gram.count(0) == n * n - n  # 4 delta_rs
 
 
 def decompose(basis: GammaBasis, m: CMat) -> GammaCoeffs:

@@ -30,8 +30,9 @@ Costs come in two kinds:
 * ``cost_swap`` / ``cost_id`` -- the printed absolute-value combinations of
   the closed-form coefficients (the canonical contract), returned in their
   reduced forms on the domain: (1 - 2a^2)/((1 - 2a)(1 - 4a)) for SWAP and
-  1/(1 - 4a) for Identity. They read no record; ``printed_cost(gate)``
-  returns the gate's one.
+  1/(1 - 4a) for Identity. They read no record and check alpha and one
+  determinant in line, which the tests pin bit for bit to ``_determinant``;
+  ``printed_cost(gate)`` returns the gate's one.
 * ``cost_from_decomposition`` -- sum of absolute Gamma expansion weights of
   the recovery matrix, equal to ||V^-1||_1->1 and so the optimal cost. For
   the identity gate this equals ``cost_id``; for SWAP it is smaller than the
@@ -86,12 +87,6 @@ def _check_alpha(alpha: float):
 def _check_denominator(den: float, alpha: float):
     if abs(den) < _DENOM_EPS:
         raise DenominatorNearZero(f"denominator {den} at alpha={alpha}")
-
-
-def _check_domain(gate: str, alpha: float):
-    """alpha in [0, ALPHA_MAX), then the gate's channel determinant clear of 0."""
-    _check_alpha(alpha)
-    _check_denominator(_determinant(gate, alpha), alpha)
 
 
 def _table(terms, p1, p2) -> tuple:
@@ -158,7 +153,8 @@ _RECORD = {gate: tuple((name, p.index(name)) for name in sorted(set(p)))
 
 def _closed_form(gate: str, alpha: float) -> tuple:
     """The gate's record in ``_RECORD``'s order, the entries recovery_op reads."""
-    _check_domain(gate, alpha)
+    _check_alpha(alpha)
+    _check_denominator(_determinant(gate, alpha), alpha)
     columns = _TABLE[gate][1]
     return tuple(_resolvent([columns[k] for _, k in _RECORD[gate]], alpha))
 
@@ -215,16 +211,24 @@ def recovery_numeric(ch: Channel) -> CMat:
 def cost_swap(alpha: float) -> float:
     """Mitigation cost |C+E|/2 + |C-E|/2 + 3|B| + |D| for the SWAP gate. On
     [0, 1/4), C - E = -a/((1-2a)(1-4a)) <= 0, B <= 0 and D >= 0, so it is
-    E - 3B + D = (1 - 2a^2)/((1-2a)(1-4a))."""
-    _check_domain("swap", alpha)
-    return (1.0 - 2.0 * alpha * alpha) / ((1.0 - 2.0 * alpha) * (1.0 - 4.0 * alpha))
+    E - 3B + D = (1 - 2a^2)/((1-2a)(1-4a)), refused on the determinant (1-2a)(1-4a)^2."""
+    if not 0.0 <= alpha < ALPHA_MAX:
+        raise AlphaOutOfRange(f"alpha={alpha} outside [0, {ALPHA_MAX})")
+    p, q = 1.0 - 2.0 * alpha, 1.0 - 4.0 * alpha
+    if abs(p * q * q) < _DENOM_EPS:
+        raise DenominatorNearZero(f"denominator {p * q * q} at alpha={alpha}")
+    return (1.0 - 2.0 * alpha * alpha) / (p * q)
 
 
 def cost_id(alpha: float) -> float:
     """Mitigation cost |F| + |G| + 2|H| for the Identity gate; equals
-    1/(1-4a) on the whole domain."""
-    _check_domain("identity", alpha)
-    return 1.0 / (1.0 - 4.0 * alpha)
+    1/(1-4a) on the whole domain, refused on the determinant (1-2a)^2 (1-4a)."""
+    if not 0.0 <= alpha < ALPHA_MAX:
+        raise AlphaOutOfRange(f"alpha={alpha} outside [0, {ALPHA_MAX})")
+    p, q = 1.0 - 2.0 * alpha, 1.0 - 4.0 * alpha
+    if abs(p * p * q) < _DENOM_EPS:
+        raise DenominatorNearZero(f"denominator {p * p * q} at alpha={alpha}")
+    return 1.0 / q
 
 
 def printed_cost(gate: str):

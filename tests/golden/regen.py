@@ -228,7 +228,7 @@ def digest_blocks() -> dict:
         params = [(c, _kernel_params(args, c)) for c in args.coupling]
         for k in (kernel.k_printed, kernel.k_quadrature):
             blocks[f"{k.__name__}/{name}"] = [f"{c.hex()} {u.hex()} {_hex(k(p, u))}"
-                                              for c, p in params for u in _u_grid(args.u_max, args.steps)]
+                                              for c, p in params for u in _u_grid(args.u_max, args.steps, len(params))]
     return blocks
 
 

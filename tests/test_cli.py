@@ -177,6 +177,20 @@ class TestKernel:
         code, _, _ = run_cli(["kernel", "--coupling", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["kernel"], ["cost", "--gate", "swap"]])
+    def test_row_limit_counts_steps_times_couplings(self, command, capsys, monkeypatch):
+        # at a lowered limit, a table of exactly MAX_ROWS rows is written and
+        # one row more is refused
+        monkeypatch.setattr(cli, "MAX_ROWS", 6)
+        code, out, _ = run_cli(command + ["--steps", "3"], capsys)  # two default couplings
+        assert (code, len(out.splitlines())) == (0, 1 + 6)
+        code, out, _ = run_cli(command + ["--coupling", "7e-3", "--steps", "6"], capsys)
+        assert (code, len(out.splitlines())) == (0, 1 + 6)
+        for argv in (["--steps", "4"], ["--coupling", "7e-3", "--steps", "7"]):
+            code, out, err = run_cli(command + argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --steps ") and "more than 6" in err
+
     @pytest.mark.parametrize("mode, built", [("approx", 0), ("printed", 2), ("quadrature", 2)])
     def test_one_params_per_curve(self, mode, built, capsys, monkeypatch):
         calls = []
@@ -562,6 +576,12 @@ BOUNDARY_CASES = {
     # finite wc_ts and u whose product, the sine integral's argument, overflows
     "kernel-printed-wc-ts-u-overflow": (
         ["kernel", "--mode", "printed", "--wc-ts", "1e308", "--u-max", "10", "--steps", "2"], 2),
+    # a table of more than cli.MAX_ROWS (10^6) rows, steps times the couplings,
+    # refused before any row is built: one row over, and an unbounded --steps
+    "kernel-steps-over-row-limit": (["kernel", "--coupling", "7e-3", "--steps", "1000001"], 2),
+    "cost-steps-over-row-limit": (["cost", "--gate", "swap", "--steps", "500001"], 2),
+    "kernel-steps-unbounded": (["kernel", "--steps", "10000000000"], 2),
+    "cost-steps-unbounded": (["cost", "--gate", "identity", "--steps", "10000000000"], 2),
 }
 
 

@@ -414,7 +414,23 @@ def csv_line(row):
     st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), st.none(), st.text(),
               st.integers(), st.booleans()),
     min_size=n, max_size=n), max_size=8)))
+# cell types that change mid-table and change back, as a cost row's cell does
+# past 1/4 (float, None, float); ragged rows; rows of no cells
+@example(rows=[[7e-3, 0.5, 0.24, 25.5], [7e-3, 0.75, 0.26, None], [7e-3, 1.0, 0.2, 5.0]])
+@example(rows=[[1.0, "a", None], [2.0], [], [None, 3, True, "%s", 0.1]])
+@example(rows=[[], []])
 def test_csv_rows_keep_the_cell_rule(rows):
     header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
     text = "\n".join([",".join(header)] + [csv_line(row) for row in rows])
     assert _emit_csv(header, rows) == text
+
+
+def test_writers_keep_each_tables_bytes():
+    # tables whose cells take other types, written one after the other in one
+    # process: each keeps its own bytes, so no row template leaks between calls
+    header = ["u", "cost"]
+    tables = ([[0.5, 1.25], [0.75, None]], [["0.5", 1], [None, 0.25]], [[True, 2.5], [0.5, 1.25]])
+    for rows in tables + tables[::-1]:
+        assert _emit_csv(header, rows) == "\n".join([",".join(header)] + [csv_line(row) for row in rows])
+        assert _emit_json(_RowTable(header, rows)) == json.dumps(as_dicts(header, rows), indent=2,
+                                                                 sort_keys=True)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -249,6 +250,74 @@ class TestDecompose:
     def test_abs_sum(self):
         c = GammaCoeffs({label: 0.0 for label in BASIS_ORDER} | {"g5": 3 + 4j, "I": 1.0})
         assert c.abs_sum() == pytest.approx(6.0)
+
+
+def dense_orthogonal(basis):
+    """The dense reference: tr(G_r^dagger G_s) summed over all 16 entries in
+    ascending order, for every pair, against 4 delta_rs."""
+    for r, a in enumerate(basis.matrices):
+        for s, b in enumerate(basis.matrices):
+            trace = 0
+            for x, y in zip(a.entries, b.entries):
+                trace += x.conjugate() * y
+            if trace != (4 if r == s else 0):
+                return False
+    return True
+
+
+# an entry's replacements: zeros of both signs, unit phases, a non-unit and a
+# tiny value, and the non-finite values, which the sparse Gram must still see
+REPLACEMENTS = (0, -0.0, 1, -1, 1j, -1j, 2, 1e-300, math.nan, math.inf, -math.inf)
+
+
+def with_matrices(matrices):
+    return type(BASIS)(tuple(matrices), BASIS.metric)
+
+
+class TestSparseGram:
+    """``is_orthogonal`` builds the Gram matrix from the matrices' supports
+    alone; its verdict must be the dense one for every basis."""
+
+    def test_basis_verdict_is_dense(self):
+        assert is_orthogonal(BASIS) is dense_orthogonal(BASIS) is True
+
+    def test_one_entry_replaced(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(r=st.integers(0, 15), k=st.integers(0, 15), value=st.sampled_from(REPLACEMENTS))
+        @hypothesis.example(r=0, k=0, value=1)  # unchanged, so orthogonal
+        @hypothesis.example(r=5, k=1, value=math.nan)  # a NaN where the matrix has a zero
+        @hypothesis.example(r=15, k=2, value=-0.0)  # a nonzero replaced by a signed zero
+        def check(r, k, value):
+            matrices = list(BASIS.matrices)
+            entries = list(matrices[r].entries)
+            entries[k] = value
+            matrices[r] = CMat(4, 4, entries)
+            basis = with_matrices(matrices)
+            assert is_orthogonal(basis) == dense_orthogonal(basis)
+
+        check()
+
+    def test_matrices_swapped_or_copied(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(r=st.integers(0, 15), s=st.integers(0, 15), copy=st.booleans())
+        def check(r, s, copy):
+            matrices = list(BASIS.matrices)
+            if copy:  # a duplicated matrix, in place of another
+                matrices[s] = matrices[r]
+            else:  # two matrices moved, which leaves a basis
+                matrices[r], matrices[s] = matrices[s], matrices[r]
+            basis = with_matrices(matrices)
+            verdict = is_orthogonal(basis)
+            assert verdict == dense_orthogonal(basis)
+            assert verdict is (not copy or r == s)
+
+        check()
 
 
 def reconstruct_by_matrix_sums(basis, c):

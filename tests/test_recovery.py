@@ -362,6 +362,59 @@ class TestCosts:
             assert cost_from_decomposition(op) == pytest.approx(norm, rel=1e-15, abs=0)
 
 
+# The printed costs' reduced forms, as evaluated before each cost checked its
+# domain in line: after _check_alpha and _check_denominator on _determinant.
+REDUCED_COST = {
+    "swap": lambda a: (1.0 - 2.0 * a * a) / ((1.0 - 2.0 * a) * (1.0 - 4.0 * a)),
+    "identity": lambda a: 1.0 / (1.0 - 4.0 * a),
+}
+# the sweep, alpha within 1e-9 of 1/4 on both sides of the guard, the float
+# below 1/4, a signed zero and the non-finite values
+COST_ALPHAS = (regen.sweep_alphas() + [0.25 - k * 1e-11 for k in range(101)]
+               + [math.nextafter(0.25, 0.0), -0.0, math.nan, math.inf, -math.inf])
+
+
+def cost_outcome(cost, alpha):
+    """The bits of cost(alpha), or the class and text of its domain error."""
+    try:
+        return cost(alpha).hex()
+    except (AlphaOutOfRange, DenominatorNearZero) as exc:
+        return type(exc), str(exc)
+
+
+def checked_reduced_cost(gate, alpha):
+    recovery._check_alpha(alpha)
+    recovery._check_denominator(_determinant(gate, alpha), alpha)
+    return REDUCED_COST[gate](alpha)
+
+
+class TestInlineDomainCheck:
+    """``cost_swap`` / ``cost_id`` check their domain in straight-line code;
+    every value and every refusal stays that of the helpers' path."""
+
+    @pytest.mark.parametrize("gate", channel.GATES)
+    def test_bits_and_errors_are_the_helpers_path(self, gate):
+        cost = recovery.printed_cost(gate)
+        outcomes = [cost_outcome(cost, alpha) for alpha in COST_ALPHAS]
+        assert outcomes == [cost_outcome(functools.partial(checked_reduced_cost, gate), alpha)
+                            for alpha in COST_ALPHAS]
+        refusals = {outcome[0] for outcome in outcomes if isinstance(outcome, tuple)}
+        assert refusals == {AlphaOutOfRange, DenominatorNearZero}  # both are reached
+
+    @pytest.mark.parametrize("gate", channel.GATES)
+    def test_determinant_is_determinant(self, gate, monkeypatch):
+        # with no denominator passing the guard, every in-range alpha's
+        # refusal prints the straight-line determinant: it must be
+        # _determinant's, bit for bit, for every gate with a printed cost
+        monkeypatch.setattr(recovery, "_DENOM_EPS", math.inf)
+        cost = recovery.printed_cost(gate)
+        for alpha in COST_ALPHAS:
+            if 0.0 <= alpha < ALPHA_MAX:
+                with pytest.raises(DenominatorNearZero) as refused:
+                    cost(alpha)
+                assert str(refused.value) == f"denominator {_determinant(gate, alpha)} at alpha={alpha}"
+
+
 class TestRecoveryOp:
     def test_identity_decomposition_reference(self):
         op = recovery_op("identity", 0.05)
