@@ -11,16 +11,19 @@ quantities is rounded at most once. ``v_element`` assembles the noisy
 evolution operator element by element from M. In Pauli-error form the map at
 alpha = Re k is (1 - 3 alpha) rho + (alpha/2) sum_sigma sigma rho sigma over
 the six weight-1 Paulis sigma: it multiplies a Pauli string of weight w by
-1 - 2 w alpha. Its bounds on alpha, read off this form, are ``ALPHA_CP`` and
-``ALPHA_MAX``: the domain [0, ALPHA_CP] of the channel and [0, ALPHA_MAX) of
-its inverse. The split P_w[a][c] = (1/4) sum over the strings P of weight w
-of <a|P|a><c|P|c> (``_projectors``) makes the population channel
-P_0 + (1 - 2 alpha) P_1 + (1 - 4 alpha) P_2 = delta - 2 alpha R, with
-delta = P_0 + P_1 + P_2 and the rate matrix R = P_1 + 2 P_2. On a basis whose
-populations the map leaves closed, as SWAP's and Identity's, the P_w are
-orthogonal idempotents, R's spectral projectors. Also produces the predicted
-probability tables, including the conversion from the exchange-symmetric
-multiplet basis to the computational basis.
+1 - r_w alpha, with the rates r_w of ``_RATES``: the noise model, stated
+once. Its bounds on alpha are ``ALPHA_CP``, where no Pauli error probability
+is negative, which the tests check against the rates, and ``ALPHA_MAX``, the
+least root of an eigenvalue 1 - r_w alpha, read off them: the domain
+[0, ALPHA_CP] of the channel and [0, ALPHA_MAX) of its inverse. The split
+P_w[a][c] = (1/4) sum over the strings P of weight w of <a|P|a><c|P|c>
+(``_projectors``) makes the population channel sum_w (1 - r_w alpha) P_w
+= delta - 2 alpha R, with delta = P_0 + P_1 + P_2 and the rate matrix
+R = sum_w (r_w / 2) P_w. On a basis whose populations the map leaves closed,
+as SWAP's and Identity's, the P_w are orthogonal idempotents, R's spectral
+projectors. Also produces the predicted probability tables, including the
+conversion from the exchange-symmetric multiplet basis to the computational
+basis.
 
 ``_GATES``, the one per-gate record, holds each gate's basis, and each gate
 has a forward plan built from it at import; a call makes one pass over it.
@@ -68,8 +71,9 @@ __all__ = [
     "COMPUTATIONAL_LABELS",
 ]
 
+_RATES = (0.0, 2.0, 4.0)  # the noise model: weight w is multiplied by 1 - _RATES[w] alpha
 ALPHA_CP = 1.0 / 3.0  # completely positive exactly on [0, 1/3]: p_I = 1 - 3 alpha >= 0
-ALPHA_MAX = 0.25  # a finite inverse exactly on [0, 1/4): the weight-2 eigenvalue 1 - 4 alpha > 0
+ALPHA_MAX = 1.0 / _RATES[-1]  # a finite inverse exactly on [0, 1/4): every 1 - r_w alpha > 0
 
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 MULTIPLET_LABELS = ("m1", "m2", "m3", "m4")
@@ -275,7 +279,7 @@ def _projectors(basis: Basis4):
 # Each gate's split, and its channel as the 16 (delta_ac, R_ac) pairs read off
 # it, row-major: with k = alpha real, v_element(a, a, c, c) = delta_ac - 2 alpha R[a][c].
 _PROJECTORS = {gate: _projectors(basis_for_gate(gate)) for gate in GATES}
-_CHANNEL = {gate: tuple((p0 + p1 + p2, p1 + 2.0 * p2) for p0, p1, p2 in zip(*split))
+_CHANNEL = {gate: tuple((sum(p), sum(r / 2 * x for r, x in zip(_RATES, p))) for p in zip(*split))
             for gate, split in _PROJECTORS.items()}
 
 

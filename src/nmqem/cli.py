@@ -159,20 +159,20 @@ def _append_rows(parts: list, table: _RowTable, pad: str):
     """Append the text of json.dumps of the table's list of dicts. The keys
     are sorted and escaped once per table, and the whole table is one
     %-format call on its cells in key order, through one template per
-    distinct row of cell types. A table with a cell of any other type, or
-    whose text holds "nan" or "inf" (%r writes a non-finite float so, where
-    JSON has NaN and Infinity), is written row dict by row dict by
-    _append_json."""
+    distinct row of cell types. A table with a row shorter than its header,
+    a cell of another type or float cells whose sum is not finite (%r writes
+    nan and inf, where JSON has NaN and Infinity) goes to _append_json."""
     header, rows = table
     column = dict(zip(header, range(len(header))))  # a repeated name keeps its last cell, as in a dict
-    if rows and len(column) > 1:  # itemgetter returns a tuple for two keys or more
+    # itemgetter returns a tuple for two keys or more, and raises on a short row
+    if rows and len(column) > 1 and min(map(len, rows)) >= len(header):
         keys = sorted(column)
         cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*map(column.get, keys)), rows)))
         kinds = list(map(type, cells))
         row_kinds = list(zip(*[iter(kinds)] * len(keys)))  # every picked row has one cell per key
         distinct = set(row_kinds)
         present = set(itertools.chain.from_iterable(distinct))
-        if present <= _ROW_CELL.keys():
+        if present <= _ROW_CELL.keys() and math.isfinite(sum(filter(float.__instancecheck__, cells))):
             inner = pad + "  "
             names = [(inner + "  " + _json_str(key) + ": ").replace("%", "%%") for key in keys]
             templates = {k: "{" + ",".join(map(operator.add, names, map(_ROW_CELL.get, k))) + inner + "}"
@@ -180,9 +180,8 @@ def _append_rows(parts: list, table: _RowTable, pad: str):
             if not present.isdisjoint(_ROW_TEXT):
                 cells = [_ROW_TEXT[k](cell) if k in _ROW_TEXT else cell for cell, k in zip(cells, kinds)]
             body = ("," + inner).join(map(templates.__getitem__, row_kinds)) % tuple(cells)
-            if "nan" not in body and "inf" not in body:
-                parts.append("[" + inner + body + pad + "]")
-                return
+            parts.append("[" + inner + body + pad + "]")
+            return
     _append_json(parts, [dict(zip(header, row)) for row in rows], pad)
 
 

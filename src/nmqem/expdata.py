@@ -31,7 +31,8 @@ import sys
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .channel import COMPUTATIONAL_LABELS as OUTCOMES, GATES, NmqemError, input_labels, predict_table
+from .channel import (ALPHA_MAX, COMPUTATIONAL_LABELS as OUTCOMES, GATES, NmqemError, input_labels,
+                      predict_table)
 from .kernel import re_k_approx
 
 __all__ = [
@@ -215,14 +216,14 @@ _ROLE_NAME = {
 @lru_cache(maxsize=None)
 def classify_cells(gate: str):
     """The affine pair (a, b) of every (output, input) cell, p(alpha) =
-    a + b alpha, read from the predicted table at alpha = 0 and 1/4: the
-    intercept a and the slope 4 (p(1/4) - a), both exact in floats. The pairs
-    depend only on the gate, so they are computed once per gate."""
+    a + b alpha, read from the predicted table at alpha = 0 and ALPHA_MAX, a
+    power of 2: the intercept a and the slope (p(ALPHA_MAX) - a) / ALPHA_MAX,
+    both exact in floats, once per gate, on which alone they depend."""
     at0 = predict_table(gate, 0.0)
-    at_quarter = predict_table(gate, 0.25)
+    at_max = predict_table(gate, ALPHA_MAX)
     return tuple(
-        tuple((a, 4.0 * (q - a)) for a, q in zip(row0, row_quarter))
-        for row0, row_quarter in zip(at0, at_quarter)
+        tuple((a, (q - a) / ALPHA_MAX) for a, q in zip(row0, row_max))
+        for row0, row_max in zip(at0, at_max)
     )
 
 

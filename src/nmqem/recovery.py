@@ -1,20 +1,15 @@
 """Recovery operators and mitigation cost functions.
 
-Each gate's population channel is V = P_0 + (1 - 2 alpha) P_1 +
-(1 - 4 alpha) P_2 over channel's Pauli-weight split, which is stated there;
-on the gates' bases the P_w are orthogonal idempotents, so
-
-    V^-1 = I + 2 alpha R + 4 alpha^2 [P_1 / (1 - 2 alpha) + 4 P_2 / (1 - 4 alpha)],
-
-and its Gamma expansion weights are the same linear form in the constant
-weights of I, R, P_1 and P_2. These four rows, entries and weights, are read
-once per process off channel's split (``_TABLE``), and stored column by
-column: per gate, the labels with a nonzero weight and one (I, R, P_1, P_2)
-quadruple per entry and weight, the layout ``_resolvent`` reads.
-``recovery_op`` evaluates the form in one pass over the columns; grouped by
-powers of alpha, entries of order alpha^2 keep their relative precision. It
-inverts nothing. It computes the channel determinant, the eigenvalues
-1 - 2 w alpha multiplied tr P_w times (``_FACTORS``), once, and reads its
+Each gate's population channel V and its inverse V^-1 are sums over
+channel's Pauli-weight split, weighted by its noise model (``_RATES``); both
+are stated there. ``_resolvent`` writes V^-1 as a linear form in I, R, P_1
+and P_2, and its Gamma expansion weights are the same form in the constant
+weights of those four. These rows, entries and weights, are read once per
+process off channel's split (``_TABLE``), and stored column by column: per
+gate, the labels with a nonzero weight and one (I, R, P_1, P_2) quadruple
+per entry and weight. ``recovery_op`` evaluates the form in one pass over
+the columns and inverts nothing. It computes the channel determinant, V's
+eigenvalues multiplied tr P_w times each (``_FACTORS``), once, and reads its
 closed-form record, (B, C, D, E) or (F, G, H), off the entries it computes,
 at the positions ``_RECORD`` reads off the printed pattern (``_PRINTED``).
 It returns a ``RecoveryOp``, a named tuple of the gate, alpha, V^-1, that
@@ -51,8 +46,8 @@ import warnings
 from typing import Tuple
 
 from . import gamma as gamma_mod
-from .channel import (_CHANNEL, _PROJECTORS, ALPHA_MAX, AlphaOutOfRange, Channel, NmqemError,
-                      _gate_record)
+from .channel import (_CHANNEL, _PROJECTORS, _RATES, ALPHA_MAX, AlphaOutOfRange, Channel,
+                      NmqemError, _gate_record)
 from .linalg import CMat, det, mat_inv
 
 __all__ = [
@@ -110,31 +105,32 @@ def _table(terms, p1, p2) -> tuple:
 # Each gate's table, read off channel's split; the recovery tests check every
 # row against m_tensor in rationals.
 _TABLE = {gate: _table(_CHANNEL[gate], p1, p2) for gate, (_, p1, p2) in _PROJECTORS.items()}
-# 2 l for each nonzero eigenvalue l of R, ascending: l = 1 and 2, tr P_l times.
-_FACTORS = {gate: (2.0,) * round(sum(p1[::5])) + (4.0,) * round(sum(p2[::5]))
-            for gate, (_, p1, p2) in _PROJECTORS.items()}
+# Each nonzero rate r_w, ascending, tr P_w times: V's eigenvalues 1 - r_w alpha.
+_FACTORS = {gate: tuple(r for r, p in zip(_RATES, split) if r for _ in range(round(sum(p[::5]))))
+            for gate, split in _PROJECTORS.items()}
+_REMAINDERS = tuple(((r / 2) ** 2, r) for r in _RATES if r)
 _ZERO_WEIGHTS = dict.fromkeys(gamma_mod.BASIS_ORDER, 0j)
 
 
 def _resolvent(columns, alpha: float) -> list:
-    """V^-1 = I + 2 alpha R + 4 alpha^2 [P_1 / (1 - 2 alpha) + 4 P_2 / (1 - 4 alpha)],
-    entry by entry over the columns (I, R, P_1, P_2): the spectral sum
-    sum_l P_l / (1 - 2 l alpha) by 1/(1 - x) = 1 + x + x^2 / (1 - x), with
-    sum_l P_l = I and sum_l l P_l = R. Grouped by powers of alpha, an entry
-    of order alpha or alpha^2 keeps its relative precision, which the plain
-    sum loses to cancellation at small alpha."""
+    """V^-1 = I + 2 alpha R + (2 alpha)^2 (s_1 P_1 + s_2 P_2), s_w = (r_w / 2)^2 /
+    (1 - r_w alpha), entry by entry over the columns (I, R, P_1, P_2): the
+    spectral sum sum_w P_w / (1 - r_w alpha) by 1/(1 - x) = 1 + x + x^2 / (1 - x).
+    Grouped by powers of alpha, an entry of order alpha or alpha^2 keeps its
+    relative precision, which the plain sum loses to cancellation at small alpha."""
+    (h1, r1), (h2, r2) = _REMAINDERS
     a = 2.0 * alpha
     b = a * a
-    s1 = 1.0 / (1.0 - 2.0 * alpha)
-    s2 = 4.0 / (1.0 - 4.0 * alpha)
+    s1 = h1 / (1.0 - r1 * alpha)
+    s2 = h2 / (1.0 - r2 * alpha)
     # 0.0 + ...: the alpha^2 bracket of a zero entry is +0.0, never -0.0
     return [x + a * y + b * ((0.0 + s1 * z) + s2 * w) for x, y, z, w in columns]
 
 
 def _determinant(gate: str, alpha: float) -> float:
-    """The channel determinant, the product of V's eigenvalues 1 - 2 l alpha
-    over R's nonzero eigenvalues l. Multiplied in ascending l, it is the
-    factored (1 - 2a)(1 - 4a)^2 (SWAP) or (1 - 2a)^2 (1 - 4a) bit for bit."""
+    """The channel determinant, the product of V's eigenvalues 1 - r_w alpha
+    over ``_FACTORS``. Multiplied in ascending rate, it is bit for bit the
+    factored determinant that ``cost_swap`` / ``cost_id`` check in line."""
     den = 1.0
     for f in _FACTORS[gate]:
         den *= 1.0 - f * alpha
@@ -249,9 +245,9 @@ RecoveryOp = collections.namedtuple("RecoveryOp", "gate alpha matrix coeffs gamm
 def recovery_op(gate: str, alpha: float) -> RecoveryOp:
     """Build the recovery operator for a gate: V^-1 and its Gamma weights
     from the gate's table in one pass, and the closed-form coefficient
-    record. Warns as ``recovery_numeric`` does when the channel determinant,
-    the product of its eigenvalues 1 - 2 l alpha, falls below 1e-4, and then
-    raises DenominatorNearZero below 1e-9, as ``closed_form_*`` do."""
+    record. Warns as ``recovery_numeric`` does when the channel determinant
+    falls below 1e-4, and then raises DenominatorNearZero below 1e-9, as
+    ``closed_form_*`` do."""
     _gate_record(gate)
     _check_alpha(alpha)
     den = _determinant(gate, alpha)

@@ -13,9 +13,11 @@ from golden import regen
 from nmqem.channel import (
     _CHANNEL,
     _PREDICT_PLAN,
+    _RATES,
     _projectors,
     _weights,
     ALPHA_CP,
+    ALPHA_MAX,
     GATES,
     AlphaOutOfRange,
     Basis4,
@@ -30,6 +32,7 @@ from nmqem.channel import (
     to_computational,
     v_element,
 )
+from nmqem.recovery import _FACTORS
 
 MB = multiplet_basis()
 CB = computational_basis()
@@ -526,6 +529,71 @@ class TestPauliWeightSplit:
         if idempotent:
             traces = tuple(sum(p[i][i] for i in range(4)) for p in split)
             assert traces == SPLIT_TRACES[name]
+
+
+# The 16 two-qubit Pauli strings as index pairs (p, q) over I, X, Y, Z. Two
+# strings anticommute when an odd number of their positions hold two
+# different non-identity Paulis.
+PAULI_PAIRS = [(p, q) for p in range(4) for q in range(4)]
+
+
+def pauli_weight(s):
+    return sum(x > 0 for x in s)
+
+
+def anticommute(s, t):
+    return sum(x and y and x != y for x, y in zip(s, t)) % 2
+
+
+def error_probabilities(alpha):
+    """The Pauli error probability of each string at alpha, in Fractions: the
+    Walsh-Hadamard transform p_s = (1/16) sum_t (-1)^<s,t> lambda_t of the
+    eigenvalues lambda_t = 1 - r_w alpha, w the weight of t, read off
+    ``_RATES`` alone."""
+    rates = [Fraction(r) for r in _RATES]
+    eigenvalues = {t: 1 - rates[pauli_weight(t)] * alpha for t in PAULI_PAIRS}
+    return {s: sum((-1) ** anticommute(s, t) * eigenvalues[t] for t in PAULI_PAIRS) / 16
+            for s in PAULI_PAIRS}
+
+
+class TestNoiseModel:
+    """Every bound and table the package derives from ``_RATES``, the
+    noise model, against an exact oracle built from the rates alone."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1000)])
+    def test_error_probabilities_are_the_pauli_form(self, alpha):
+        # (1 - 3 alpha) rho + (alpha/2) sum_sigma sigma rho sigma over the six
+        # weight-1 strings: the map TestPauliErrorForm checks against m_tensor
+        expected = {0: 1 - 3 * alpha, 1: alpha / 2, 2: Fraction(0)}
+        assert error_probabilities(alpha) == {s: expected[pauli_weight(s)] for s in PAULI_PAIRS}
+
+    def test_alpha_cp_is_the_largest_alpha_with_probabilities_nonnegative(self):
+        # each probability is affine in alpha; the nonnegative ones end at the
+        # least root of those that fall, 1/3, and ALPHA_CP is that bound rounded
+        at0, at1 = error_probabilities(Fraction(0)), error_probabilities(Fraction(1))
+        bound = min(-at0[s] / (at1[s] - at0[s]) for s in PAULI_PAIRS if at1[s] < at0[s])
+        assert bound == Fraction(1, 3) and ALPHA_CP == float(bound)
+        assert min(error_probabilities(Fraction(ALPHA_CP)).values()) >= 0
+        assert min(error_probabilities(Fraction(math.nextafter(ALPHA_CP, 1.0))).values()) < 0
+
+    def test_alpha_max_is_the_least_root_of_an_eigenvalue(self):
+        roots = [1 / Fraction(r) for r in _RATES if r]
+        assert Fraction(ALPHA_MAX) == min(roots) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_rate_matrix_and_factors_are_read_off_the_rates(self, gate):
+        # R = sum_w (r_w / 2) P_w and delta = sum_w P_w, entry by entry; the
+        # determinant factors are each nonzero rate, tr P_w times, ascending
+        split = exact_split(basis_for_gate(gate))
+        rates = [Fraction(r) for r in _RATES]
+        for k, (delta, rate) in enumerate(_CHANNEL[gate]):
+            a, c = divmod(k, 4)
+            assert delta == sum(p[a][c] for p in split)
+            assert rate == sum(r / 2 * p[a][c] for r, p in zip(rates, split))
+        traces = [sum(p[i][i] for i in range(4)) for p in split]
+        assert [Fraction(f) for f in _FACTORS[gate]] == [
+            r for r, t in zip(rates, traces) if r for _ in range(int(t))]
+        assert list(_FACTORS[gate]) == sorted(_FACTORS[gate])
 
 
 class TestToComputational:

@@ -285,6 +285,8 @@ def as_dicts(header, rows):
 @example(table=(["u", "cost", "ok"], [[0.5, 1.25, True], [0.75, 2.5, True], [1.0, None, False],
                                        [1.0, "x", True], [1.0, math.nan, False]]))
 @example(table=(["b", "a"], []))
+# a row shorter than the header: its dict holds only the names it reaches
+@example(table=(["a", "b"], [[1.0], [1.0, 2.0]]))
 @example(table=([], [[], []]))
 def test_row_table_writer_equals_json_dumps_of_its_dicts(table):
     header, rows = table
