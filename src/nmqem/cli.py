@@ -14,11 +14,11 @@ each built only when asked for: the JSON payload, whose row lists are
 ``_RowTable``s, the CSV (header, rows) and the table's lines. ``main`` alone
 picks the one --format names and writes it through ``_WRITERS``; a
 subcommand with a single row layout prints it for both csv and table. argv
-that starts with a subcommand's name is read by that subcommand's own parser,
-the one the top-level parser delegates to, and any other argv by the
-top-level parser. A row table, CSV or JSON, is written with one %-format call
-on its flattened cells. kernel and cost refuse a table of more than
-``MAX_ROWS`` rows, --steps per coupling, before building any row.
+is read off the one option table, ``_COMMANDS``; argparse, built from it,
+reads only what that declines: help, usage errors and abbreviations. A row
+table, CSV or JSON, is written with one %-format call on its flattened
+cells. kernel and cost refuse a table of more than ``MAX_ROWS`` rows,
+--steps per coupling, before building any row.
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -479,58 +479,55 @@ def _coupling_list(text: str):
     return values
 
 
+_GATE = {"choices": GATES, "required": True}
+_AT_ALPHA = {"--gate": _GATE, "--alpha": {"type": _float, "required": True}}
+_CURVES = {"--coupling": {"type": _coupling_list, "default": _DEFAULT_COUPLINGS},
+           "--u-max": {"type": _float, "default": 1.0}, "--steps": {"type": int, "default": 101}}
+
+
+def _command(help_text, func, default_format, options):
+    common = {"--format": {"choices": ("csv", "json", "table"), "default": default_format},
+              "--out": {"default": None, "help": "output path (default stdout)"}}
+    return help_text, func, {**common, **options}
+
+
+# The CLI's options, stated once: each subcommand's help, its ``cmd_*`` and its
+# options in help order, as add_argument keywords. ``build_parser`` builds
+# argparse's tree from it and ``_read_argv`` reads well-formed argv by it.
+_COMMANDS = {
+    "gamma-check": _command("verify the 16-matrix algebra", cmd_gamma_check, "table", {}),
+    "kernel": _command("decoherence function curves", cmd_kernel, "csv", {
+        **_CURVES, "--mode": {"choices": ("approx", "printed", "quadrature"), "default": "approx"},
+        "--gamma0": {"type": _float, "default": None,
+                     "help": "gamma0, in place of --coupling (otherwise coupling / wc-ts)"},
+        "--delta0": {"type": _float, "default": 0.0}, "--wc-ts": {"type": _float, "default": 10.0}}),
+    "cost": _command("mitigation cost curves", cmd_cost, "csv", {"--gate": _GATE, **_CURVES}),
+    "predict": _command("predicted probability table", cmd_predict, "table", _AT_ALPHA),
+    "estimate": _command("estimate Re k from a counts file", cmd_estimate, "json", {
+        "--counts": {"required": True, "help": "path to a counts JSON file"},
+        "--gate": {"choices": GATES, "default": None}}),
+    "decompose": _command("Gamma expansion of a recovery operator", cmd_decompose, "table", _AT_ALPHA),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it
-    unchanged and every default is immutable, so calls share nothing."""
+    """argparse's tree of ``_COMMANDS``, built once per process and only for
+    the argv that ``_read_argv`` declines: it prints the help and the usage
+    errors and reads an abbreviated option. parse_args leaves it unchanged
+    and every default is immutable, so calls share nothing."""
     # usage and help wrapped at 78 columns, as at COLUMNS=80, whatever the
     # terminal's width, so that every byte of the output is deterministic
     formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
-        prog="nmqem",
-        description="Non-Markovian two-qubit noise channels and mitigation costs.",
-        formatter_class=formatter,
-    )
+        prog="nmqem", description="Non-Markovian two-qubit noise channels and mitigation costs.",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, help_text, func, default_format):
+    for name, (help_text, func, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        p.add_argument("--format", choices=("csv", "json", "table"), default=default_format)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
         p.set_defaults(func=func)
-        return p
-
-    add_parser("gamma-check", "verify the 16-matrix algebra", cmd_gamma_check, "table")
-
-    p = add_parser("kernel", "decoherence function curves", cmd_kernel, "csv")
-    p.add_argument("--coupling", type=_coupling_list, default=_DEFAULT_COUPLINGS)
-    p.add_argument("--u-max", type=_float, default=1.0)
-    p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--mode", choices=("approx", "printed", "quadrature"), default="approx")
-    p.add_argument("--gamma0", type=_float, default=None,
-                   help="gamma0, in place of --coupling (otherwise coupling / wc-ts)")
-    p.add_argument("--delta0", type=_float, default=0.0)
-    p.add_argument("--wc-ts", type=_float, default=10.0)
-
-    p = add_parser("cost", "mitigation cost curves", cmd_cost, "csv")
-    p.add_argument("--gate", choices=GATES, required=True)
-    p.add_argument("--coupling", type=_coupling_list, default=_DEFAULT_COUPLINGS)
-    p.add_argument("--u-max", type=_float, default=1.0)
-    p.add_argument("--steps", type=int, default=101)
-
-    p = add_parser("predict", "predicted probability table", cmd_predict, "table")
-    p.add_argument("--gate", choices=GATES, required=True)
-    p.add_argument("--alpha", type=_float, required=True)
-
-    p = add_parser("estimate", "estimate Re k from a counts file", cmd_estimate, "json")
-    p.add_argument("--counts", required=True, help="path to a counts JSON file")
-    p.add_argument("--gate", choices=GATES, default=None)
-
-    p = add_parser("decompose", "Gamma expansion of a recovery operator", cmd_decompose, "table")
-    p.add_argument("--gate", choices=GATES, required=True)
-    p.add_argument("--alpha", type=_float, required=True)
-
-    parser.subcommands = sub.choices  # {name: the parser it delegates to}
     return parser
 
 
@@ -546,30 +543,58 @@ def _join_negative_values(argv):
     """argv with each option joined to a following negative number, so that
     ``--alpha -1e-3`` reads as ``--alpha=-1e-3``. argparse takes a token that
     starts with "-" for an option unless it looks like a plain negative
-    number, which -1e-3 and -inf do not."""
+    number, which -1e-3 and -inf do not. Nothing from "--" on is joined:
+    argparse reads every token after it as a positional."""
     joined = []
     for token in argv:
         option = joined[-1] if joined else ""
-        if (option.startswith("--") and "=" not in option and option not in ("--", "--help")
-                and token.startswith("-") and _is_number(token)):
+        if (option.startswith("--") and "=" not in option and option != "--help"
+                and token.startswith("-") and _is_number(token) and "--" not in joined):
             joined[-1] = f"{option}={token}"
         else:
             joined.append(token)
     return joined
 
 
+def _read_argv(argv):
+    """The namespace argparse gives well-formed argv, read off ``_COMMANDS``:
+    a subcommand, then its options by full name as ``--name value`` or
+    ``--name=value``, each value passing its type and choices and the last
+    repeat winning, with every required option given. None for other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        if not joined:
+            value = next(tokens, "-")  # "-" if there is none
+        option = options.get(name)
+        # argparse may take a value "-..." for an option, and drops a value "--"
+        if option is None or not joined and value.startswith("-") or value == "--":
+            return None
+        try:
+            given[name] = value = option.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+    values = {"command": argv[0], "func": func}
+    for name, option in options.items():
+        if name not in given and option.get("required"):
+            return None
+        values[name[2:].replace("-", "_")] = given.get(name, option.get("default"))
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv):
-    """argv as ``main`` reads it: by the subcommand's own parser when argv
-    starts with its name, else, and for the "unrecognized arguments" error
-    only it prints, by the top-level parser. ``kernel --gamma0`` sets the one
-    coupling, gamma0 * wc_ts, and refuses a --coupling list beside it."""
+    """argv as ``main`` reads it: by ``_read_argv`` when it is well formed,
+    else by argparse, which prints the help or the usage error, or reads an
+    abbreviated option. ``kernel --gamma0`` sets the one coupling, gamma0 *
+    wc_ts, and refuses a --coupling list beside it."""
     argv = _join_negative_values(argv)
-    sub = build_parser().subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if sub is None or extras:
-        args = build_parser().parse_args(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     if args.command == "kernel" and args.gamma0 is not None:
         if args.coupling is not _DEFAULT_COUPLINGS:
             raise NmqemError("--gamma0 sets the coupling (gamma0 * wc_ts); give it or --coupling, not both")

@@ -1,3 +1,4 @@
+import argparse
 import json
 from importlib.resources import files
 from pathlib import Path
@@ -652,6 +653,16 @@ class TestNegativeNumbers:
         assert code == 0
         assert out.startswith("usage: nmqem predict")
 
+    def test_nothing_after_double_dash_is_joined(self, capsys):
+        # argparse reads every token after "--" as a positional, so the error
+        # names them as typed, as the top-level parser does
+        argv = ["predict", "--gate", "swap", "--alpha", "0.02", "--", "--alpha", "-1"]
+        code, out, err = run_cli(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert (code, out, err) == (exc.value.code, "", capsys.readouterr().err)
+        assert err.endswith("error: unrecognized arguments: -- --alpha -1\n")
+
 
 @pytest.mark.parametrize("argv", [["predict", "--gate", "cnot", "--alpha", "0.02"], ["predict", "--help"]])
 def test_usage_and_help_ignore_the_terminal_width(argv, capsys, monkeypatch):
@@ -686,6 +697,38 @@ class TestParserReuse:
         reused = [run_cli(argv, capsys) for argv in self.SEQUENCE]
         assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
         assert reused == fresh
+
+
+class ReachedArgparse(Exception):
+    pass
+
+
+class TestOptionTable:
+    """Well-formed argv is read off the option table; argparse reads only the
+    help, usage errors and abbreviations."""
+
+    @pytest.fixture
+    def no_argparse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ReachedArgparse
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+
+    def test_golden_argv_that_succeed_never_reach_argparse(self, no_argparse, tmp_path):
+        from golden import regen  # here, not at the top: regen imports this module
+
+        regen.write_case_files(str(tmp_path))
+        cases = [case for case in regen.load_cli(regen.CLI_PATH.read_text()).values()
+                 if case["exit"] == 0 and "--help" not in case["argv"]]  # argparse prints the help
+        assert len(cases) > 50
+        for case in cases:
+            assert regen.run_case(case["argv"], str(tmp_path)) == case
+
+    @pytest.mark.parametrize("argv", [["predict", "--gate", "swap", "--alph", "0.02"],
+                                      ["predict", "--gate", "swap", "--alpha", "0.02", "-h"]])
+    def test_abbreviation_and_help_reach_argparse(self, no_argparse, argv):
+        with pytest.raises(ReachedArgparse):
+            main(argv)
 
 
 class TestErrorHierarchy:

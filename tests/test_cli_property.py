@@ -378,6 +378,19 @@ def top_level_parse(argv):
 @example(argv=["cost", "-h", "--gate", "cnot"])
 @example(argv=["predict", "--gate=swap", "--alpha", "-1e-3"])
 @example(argv=[])
+# the shapes the option-table reader must match or leave to argparse: a
+# repeated option, an empty joined value and one holding "=", a value that
+# looks like an option, a bad choice before a good one, --gamma0 beside a
+# --coupling list, help after valid options and a value of "--"
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "--alpha=0.03"])
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "--out="])
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "--out=a=b"])
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "--out", "-x"])
+@example(argv=["predict", "--gate", "cnot", "--gate", "swap", "--alpha", "0.02"])
+@example(argv=["kernel", "--gamma0", "1", "--coupling", "7e-4,7e-3"])
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "-h"])
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "--out=--"])
+@example(argv=["predict", "--gate", "swap", "--alpha", "0.02", "--out", "--"])
 def test_subcommand_dispatch_equals_the_top_level_parser(argv):
     assert parse_outcome(_parse_args, argv) == parse_outcome(top_level_parse, argv)
 

@@ -10,6 +10,7 @@ import nmqem
 import nmqem.cli
 from nmqem.channel import GATES
 from nmqem.gamma import BASIS_ORDER
+from nmqem.recovery import _RECORD
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -42,12 +43,11 @@ def test_ops_names_resolve():
 
 def test_run_forward_gives_what_the_oracle_reads():
     run_forward = exec_source(OPS, "perfbench_ops")["run_forward"]
-    record_keys = {"swap": {"B", "C", "D", "E"}, "identity": {"F", "G", "H"}}
     for gate in GATES:
         res = run_forward({"gate": gate, "alpha": 0.05})
         rec = res["recovery"]
         assert len(rec.matrix.entries) == 16
-        assert set(rec.coeffs) == record_keys[gate]
+        assert set(rec.coeffs) == {name for name, _ in _RECORD[gate]}
         assert set(rec.gamma.coeffs) == set(BASIS_ORDER)
         assert len(res["reconstructed"].entries) == 16
         assert len(res["table"]) == 4 and all(len(row) == 4 for row in res["table"])
