@@ -14,11 +14,11 @@ each built only when asked for: the JSON payload, whose row lists are
 ``_RowTable``s, the CSV (header, rows) and the table's lines. ``main`` alone
 picks the one --format names and writes it through ``_WRITERS``; a
 subcommand with a single row layout prints it for both csv and table. argv
-is read off the one option table, ``_COMMANDS``; argparse, built from it,
-reads only what that declines: help, usage errors and abbreviations. A row
-table, CSV or JSON, is written with one %-format call on its flattened
-cells. kernel and cost refuse a table of more than ``MAX_ROWS`` rows,
---steps per coupling, before building any row.
+is read off the one option table, ``_COMMANDS``, by a layer that knows no
+subcommand's rules; argparse is imported only for what that declines: help,
+usage errors and abbreviations. A row table, CSV or JSON, is written with one
+%-format call on its flattened cells. kernel and cost refuse a table of more
+than ``MAX_ROWS`` rows, --steps per coupling, before building any row.
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -28,7 +28,6 @@ propagates. All output is deterministic; numbers have 10 significant digits.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import functools
 import itertools
@@ -36,6 +35,7 @@ import json
 import math
 import operator
 import sys
+import types
 import warnings
 
 from . import expdata, gamma, recovery
@@ -48,7 +48,7 @@ EXIT_SELF_CHECK = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
-# kernel's and cost's default couplings; ``_parse_args`` tells kernel's
+# kernel's and cost's default couplings; ``_kernel_couplings`` tells kernel's
 # default from a --coupling list by identity
 _DEFAULT_COUPLINGS = (7e-4, 7e-3)
 
@@ -74,11 +74,7 @@ def _emit_csv(header, rows) -> str:
     """One line per row, each through ``_csv_template``; the whole table is
     one %-format call on its flattened cells."""
     cells = tuple(itertools.chain.from_iterable(rows))
-    widths = set(map(len, rows))
-    if len(widths) == 1 and cells:  # every row's cell types from one pass over the cells
-        kinds = zip(*[map(type, cells)] * widths.pop())
-    else:
-        kinds = map(tuple, map(map, itertools.repeat(type), rows))
+    kinds = zip(*[map(type, cells)] * len(header))
     return "\n".join([",".join(header).replace("%", "%%"), *map(_csv_template, kinds)]) % cells
 
 
@@ -143,8 +139,9 @@ def _append_json(parts: list, value, pad: str):
             parts.append(pad + "]")
 
 
-# JSON rows as one header and a list of cells per row, one cell per name:
-# _emit_json writes it as json.dumps writes [dict(zip(header, row)) for row in rows]
+# A table of rows, as every command builds one for CSV and JSON: a header of
+# two names or more, each name once, and rows of one cell per name. _emit_json
+# writes it as json.dumps writes [dict(zip(header, row)) for row in rows].
 _RowTable = collections.namedtuple("_RowTable", "header rows")
 
 
@@ -159,15 +156,14 @@ def _append_rows(parts: list, table: _RowTable, pad: str):
     """Append the text of json.dumps of the table's list of dicts. The keys
     are sorted and escaped once per table, and the whole table is one
     %-format call on its cells in key order, through one template per
-    distinct row of cell types. A table with a row shorter than its header,
-    a cell of another type or float cells whose sum is not finite (%r writes
-    nan and inf, where JSON has NaN and Infinity) goes to _append_json."""
+    distinct row of cell types. A table with a cell of another type or float
+    cells whose sum is not finite (%r writes nan and inf, where JSON has NaN
+    and Infinity) goes to _append_json."""
     header, rows = table
-    column = dict(zip(header, range(len(header))))  # a repeated name keeps its last cell, as in a dict
-    # itemgetter returns a tuple for two keys or more, and raises on a short row
-    if rows and len(column) > 1 and min(map(len, rows)) >= len(header):
-        keys = sorted(column)
-        cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*map(column.get, keys)), rows)))
+    if rows:
+        keys = sorted(header)
+        # two names or more, so itemgetter returns each row's cells as a tuple
+        cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*map(header.index, keys)), rows)))
         kinds = list(map(type, cells))
         row_kinds = list(zip(*[iter(kinds)] * len(keys)))  # every picked row has one cell per key
         distinct = set(row_kinds)
@@ -212,31 +208,19 @@ def run_gamma_check(basis: gamma.GammaBasis) -> dict:
     Every product has a Gamma matrix as its left factor, so it sums over that
     matrix's nonzero entries alone (``GammaBasis.left_mul``)."""
     checks = []
-    ok = True
     for mu in range(4):
         for nu in range(mu, 4):
             ac = gamma.anticommutator(basis, mu, nu)
             g = basis.metric[mu] if mu == nu else 0
-            passed = ac.entries == _TWICE_G_I[g]
-            ok = ok and passed
-            checks.append(
-                {
-                    "check": f"anticommutator({mu},{nu})",
-                    "expected": f"2*g[{mu}{nu}]*I",
-                    "pass": passed,
-                }
-            )
+            checks.append({"check": f"anticommutator({mu},{nu})", "expected": f"2*g[{mu}{nu}]*I",
+                           "pass": ac.entries == _TWICE_G_I[g]})
     # trace orthogonality of all 16 matrices implies rank 16
-    rank_ok = gamma.is_orthogonal(basis)
-    ok = ok and rank_ok
-    checks.append({"check": "rank16", "pass": rank_ok})
+    checks.append({"check": "rank16", "pass": gamma.is_orthogonal(basis)})
     product = basis.matrix("g3")  # g0 (g1 (g2 g3))
     for label in ("g2", "g1", "g0"):
         product = basis.left_mul(label, product)
-    g5_ok = product.entries == basis.matrix("g5").entries
-    ok = ok and g5_ok
-    checks.append({"check": "g5_product", "pass": g5_ok})
-    return {"checks": checks, "all_pass": ok}
+    checks.append({"check": "g5_product", "pass": product.entries == basis.matrix("g5").entries})
+    return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
 def cmd_gamma_check(args):
@@ -269,6 +253,14 @@ def _u_grid(u_max: float, steps: int, curves: int):
     return grid
 
 
+def _kernel_couplings(args):
+    """kernel's couplings: the --coupling list, or with --gamma0 the one
+    coupling gamma0 * wc_ts, which refuses a --coupling list beside it."""
+    if args.gamma0 is not None and args.coupling is not _DEFAULT_COUPLINGS:
+        raise NmqemError("--gamma0 sets the coupling (gamma0 * wc_ts); give it or --coupling, not both")
+    return args.coupling if args.gamma0 is None else [args.gamma0 * args.wc_ts]
+
+
 def _kernel_params(args, coupling: float) -> KernelParams:
     """One printed or quadrature curve's parameters: gamma0 is coupling / --wc-ts
     unless --gamma0 gives it. Cannot raise once ``cmd_kernel``'s checks pass."""
@@ -277,21 +269,22 @@ def _kernel_params(args, coupling: float) -> KernelParams:
 
 
 def cmd_kernel(args):
+    couplings = _kernel_couplings(args)
     if not 0.0 < args.wc_ts < math.inf:
         raise NmqemError("--wc-ts must be finite and > 0")
     if not 0.0 <= args.delta0 < math.inf:
         raise NmqemError("--delta0 must be finite and >= 0")
     if args.gamma0 is not None and not 0.0 <= args.gamma0 < math.inf:
         raise NmqemError("--gamma0 must be finite and >= 0")
-    if not all(c < math.inf for c in args.coupling):
+    if not all(c < math.inf for c in couplings):
         raise NmqemError("--gamma0 * --wc-ts (the coupling) must be finite")
-    if args.mode != "approx" and not all(c / args.wc_ts < math.inf for c in args.coupling):
+    if args.mode != "approx" and not all(c / args.wc_ts < math.inf for c in couplings):
         raise NmqemError("--coupling / --wc-ts (gamma0) must be finite")
-    grid = _u_grid(args.u_max, args.steps, len(args.coupling))
+    grid = _u_grid(args.u_max, args.steps, len(couplings))
     with_im = args.mode != "approx" and args.delta0 != 0.0
     header = ["coupling", "u", "re_k"] + (["im_k"] if with_im else [])
     rows = []
-    for coupling in args.coupling:
+    for coupling in couplings:
         if args.mode != "approx":
             params = _kernel_params(args, coupling)
         for u in grid:
@@ -301,10 +294,7 @@ def cmd_kernel(args):
                 if not math.isfinite(args.wc_ts * u):
                     raise NmqemError(f"wc_ts * u overflows at wc_ts={args.wc_ts}, u={u}")
                 k = k_printed(params, u) if args.mode == "printed" else k_quadrature(params, u)
-                row = [coupling, u, k.real]
-                if with_im:
-                    row.append(k.imag)
-                rows.append(row)
+                rows.append([coupling, u, k.real, k.imag] if with_im else [coupling, u, k.real])
     for row in rows:
         if not math.isfinite(row[2]) or with_im and not math.isfinite(row[3]):
             raise NmqemError(f"k overflows at coupling={row[0]}, u={row[1]}")
@@ -473,10 +463,12 @@ def _coupling_list(text: str):
     try:
         values = [_float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad coupling list {text!r}")
-    if not values or not all(0.0 <= v < math.inf for v in values):
-        raise argparse.ArgumentTypeError("couplings must be finite and nonnegative")
-    return values
+        values = None
+    if values and all(0.0 <= v < math.inf for v in values):
+        return values
+    import argparse  # a bad list is a usage error, which argparse reports
+    raise argparse.ArgumentTypeError(f"bad coupling list {text!r}" if values is None
+                                     else "couplings must be finite and nonnegative")
 
 
 _GATE = {"choices": GATES, "required": True}
@@ -511,11 +503,13 @@ _COMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """argparse's tree of ``_COMMANDS``, built once per process and only for
     the argv that ``_read_argv`` declines: it prints the help and the usage
-    errors and reads an abbreviated option. parse_args leaves it unchanged
-    and every default is immutable, so calls share nothing."""
+    errors and reads an abbreviated option, so only these import argparse.
+    parse_args leaves it unchanged and every default is immutable, so calls
+    share nothing."""
+    import argparse
     # usage and help wrapped at 78 columns, as at COLUMNS=80, whatever the
     # terminal's width, so that every byte of the output is deterministic
     formatter = functools.partial(argparse.HelpFormatter, width=78)
@@ -540,16 +534,21 @@ def _is_number(token: str) -> bool:
 
 
 def _join_negative_values(argv):
-    """argv with each option joined to a following negative number, so that
-    ``--alpha -1e-3`` reads as ``--alpha=-1e-3``. argparse takes a token that
-    starts with "-" for an option unless it looks like a plain negative
-    number, which -1e-3 and -inf do not. Nothing from "--" on is joined:
-    argparse reads every token after it as a positional."""
+    """argv as both readers take it. ``--alpha -1e-3`` becomes
+    ``--alpha=-1e-3``: argparse takes -1e-3 and -inf for options. ``--out=--``
+    becomes ``--out --``, which argparse refuses; joined, it sets []. --help
+    and its abbreviations stay as typed. Nothing after "--" changes: argparse
+    reads every token after it as a positional."""
     joined = []
     for token in argv:
         option = joined[-1] if joined else ""
-        if (option.startswith("--") and "=" not in option and option != "--help"
-                and token.startswith("-") and _is_number(token) and "--" not in joined):
+        name, _, value = token.partition("=")
+        if "--" in joined:
+            joined.append(token)
+        elif value == "--" and name.startswith("--") and not "--help".startswith(name):
+            joined += [name, "--"]
+        elif (option.startswith("--") and "=" not in option and not "--help".startswith(option)
+                and token.startswith("-") and _is_number(token)):
             joined[-1] = f"{option}={token}"
         else:
             joined.append(token)
@@ -571,12 +570,11 @@ def _read_argv(argv):
         if not joined:
             value = next(tokens, "-")  # "-" if there is none
         option = options.get(name)
-        # argparse may take a value "-..." for an option, and drops a value "--"
-        if option is None or not joined and value.startswith("-") or value == "--":
+        if option is None or not joined and value.startswith("-"):  # argparse may take "-..." for an option
             return None
         try:
             given[name] = value = option.get("type", str)(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:  # argparse reports the failed conversion
             return None
         if "choices" in option and value not in option["choices"]:
             return None
@@ -585,21 +583,15 @@ def _read_argv(argv):
         if name not in given and option.get("required"):
             return None
         values[name[2:].replace("-", "_")] = given.get(name, option.get("default"))
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def _parse_args(argv):
-    """argv as ``main`` reads it: by ``_read_argv`` when it is well formed,
-    else by argparse, which prints the help or the usage error, or reads an
-    abbreviated option. ``kernel --gamma0`` sets the one coupling, gamma0 *
-    wc_ts, and refuses a --coupling list beside it."""
+    """argv as a namespace: by ``_read_argv`` when it is well formed, else by
+    argparse, which prints the help or the usage error, or reads an
+    abbreviated option. A subcommand's own rules are its ``cmd_*``'s."""
     argv = _join_negative_values(argv)
-    args = _read_argv(argv) or build_parser().parse_args(argv)
-    if args.command == "kernel" and args.gamma0 is not None:
-        if args.coupling is not _DEFAULT_COUPLINGS:
-            raise NmqemError("--gamma0 sets the coupling (gamma0 * wc_ts); give it or --coupling, not both")
-        args.coupling = [args.gamma0 * args.wc_ts]
-    return args
+    return _read_argv(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,7 @@ if __name__ == "__main__":  # as a script: import nmqem and the tests from this 
     sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
 
 from nmqem import channel, gamma, kernel, recovery  # noqa: E402
-from nmqem.cli import _kernel_params, _parse_args, _u_grid, main  # noqa: E402
+from nmqem.cli import _kernel_couplings, _kernel_params, _parse_args, _u_grid, main  # noqa: E402
 from test_cli import BOUNDARY_CASES, write_case_files  # noqa: E402
 
 CLI_PATH = HERE / "cli.txt"
@@ -225,7 +225,7 @@ def digest_blocks() -> dict:
     for name, argv in KERNEL_PARAMS.items():
         # the KernelParams and u grid that ``kernel --mode {printed,quadrature}`` evaluates
         args = _parse_args(["kernel", *argv])
-        params = [(c, _kernel_params(args, c)) for c in args.coupling]
+        params = [(c, _kernel_params(args, c)) for c in _kernel_couplings(args)]
         for k in (kernel.k_printed, kernel.k_quadrature):
             blocks[f"{k.__name__}/{name}"] = [f"{c.hex()} {u.hex()} {_hex(k(p, u))}"
                                               for c, p in params for u in _u_grid(args.u_max, args.steps, len(params))]

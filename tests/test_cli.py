@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -516,6 +519,30 @@ class TestUsage:
         assert target.read_text().startswith("output,in_m1")
 
 
+KERNEL_USAGE = """\
+usage: nmqem kernel [-h] [--format {csv,json,table}] [--out OUT]
+                    [--coupling COUPLING] [--u-max U_MAX] [--steps STEPS]
+                    [--mode {approx,printed,quadrature}] [--gamma0 GAMMA0]
+                    [--delta0 DELTA0] [--wc-ts WC_TS]
+"""
+
+
+class TestCouplingList:
+    """--coupling's two errors: a cell that is not a float, and a list that
+    is empty or holds a negative or non-finite coupling."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--coupling", "x"], "bad coupling list 'x'"),
+        (["--coupling", "7e-3,x"], "bad coupling list '7e-3,x'"),
+        (["--coupling", ","], "couplings must be finite and nonnegative"),
+        (["--coupling", "nan"], "couplings must be finite and nonnegative"),
+        (["--coupling=-1"], "couplings must be finite and nonnegative"),
+    ])
+    def test_error_text(self, argv, message, capsys):
+        err = f"{KERNEL_USAGE}nmqem kernel: error: argument --coupling: {message}\n"
+        assert run_cli(["kernel", *argv], capsys) == (2, "", err)
+
+
 def _probs_document(value):
     runs = [
         {"input": label, "probs": {"00": 1.0, "01": 0.0, "10": 0.0, "11": 0.0}}
@@ -653,6 +680,10 @@ class TestNegativeNumbers:
         assert code == 0
         assert out.startswith("usage: nmqem predict")
 
+    def test_help_abbreviation_is_not_joined(self, capsys):
+        # as --help -1 and --he 1 do, where --he=-1 would be a usage error
+        assert run_cli(["predict", "--he", "-1"], capsys) == run_cli(["predict", "--help"], capsys)
+
     def test_nothing_after_double_dash_is_joined(self, capsys):
         # argparse reads every token after "--" as a positional, so the error
         # names them as typed, as the top-level parser does
@@ -662,6 +693,40 @@ class TestNegativeNumbers:
             build_parser().parse_args(argv)
         assert (code, out, err) == (exc.value.code, "", capsys.readouterr().err)
         assert err.endswith("error: unrecognized arguments: -- --alpha -1\n")
+
+
+class TestJoinedDoubleDash:
+    """An option joined to "--" is refused as the option followed by "--" is,
+    with or without --out, and writes no --out file."""
+
+    @pytest.mark.parametrize("command, option, full", [
+        (["predict", "--gate", "swap", "--alpha", "0.02"], "--out", "--out"),
+        (["predict", "--gate", "swap", "--alpha", "0.02"], "--ou", "--out"),
+        (["predict", "--alpha", "0.02"], "--gate", "--gate"),
+        (["predict", "--gate", "swap"], "--alpha", "--alpha"),
+        (["cost", "--gate", "swap"], "--steps", "--steps"),
+        (["kernel"], "--coupling", "--coupling"),
+        (["estimate"], "--counts", "--counts"),
+    ])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_same_error_as_separate_form(self, command, option, full, with_out, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        head = command + (["--out", str(target)] if with_out else [])
+        joined = run_cli(head + [f"{option}=--"], capsys)
+        separate = run_cli(head + [option, "--"], capsys)
+        code, out, err = joined
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {full}: expected one argument\n")
+        assert "Traceback" not in err
+        assert joined == separate
+        assert not target.exists()
+
+    @pytest.mark.parametrize("option", ["--help", "--he"])
+    def test_help_is_not_split(self, option, capsys):
+        # split, --he -- would print the help and exit 0
+        code, out, err = run_cli(["predict", "--gate", "swap", f"{option}=--"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument -h/--help: ignored explicit argument '--'\n")
 
 
 @pytest.mark.parametrize("argv", [["predict", "--gate", "cnot", "--alpha", "0.02"], ["predict", "--help"]])
@@ -729,6 +794,55 @@ class TestOptionTable:
     def test_abbreviation_and_help_reach_argparse(self, no_argparse, argv):
         with pytest.raises(ReachedArgparse):
             main(argv)
+
+
+# Runs each argv of a JSON list (read from stdin) through main, and then one
+# more, printing the records and whether argparse or gettext was loaded after
+# the list and after the last argv.
+UNLOADED_SCRIPT = """
+import contextlib, io, json, sys
+from nmqem.cli import main
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+argvs, last = json.load(sys.stdin)
+records = [run(argv) for argv in argvs]
+loaded = sorted({"argparse", "gettext"} & sys.modules.keys())
+json.dump([records, loaded, run(last), "argparse" in sys.modules], sys.stdout)
+"""
+
+
+def test_well_formed_argv_never_imports_argparse(tmp_path):
+    # in a fresh interpreter, because pytest itself imports argparse
+    from golden import regen  # here, not at the top: regen imports this module
+
+    regen.write_case_files(str(tmp_path))
+    corpus = regen.load_cli(regen.CLI_PATH.read_text())
+    cases = [case for case in corpus.values() if case["exit"] == 0 and "--help" not in case["argv"]]
+    usage_error = corpus["predict-bad-gate"]
+    assert len(cases) > 50
+
+    def fill(argv):
+        return [a.format(tmp=tmp_path, fixtures=regen.FIXTURES) for a in argv]
+
+    def record(case, run):
+        text = {k: run[k].replace(str(tmp_path), "{tmp}").replace(regen.FIXTURES, "{fixtures}")
+                for k in ("stdout", "stderr")}
+        return {"argv": case["argv"], "exit": run["exit"], **text}
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    stdin = json.dumps([[fill(case["argv"]) for case in cases], fill(usage_error["argv"])])
+    done = subprocess.run([sys.executable, "-c", UNLOADED_SCRIPT], input=stdin, env=env,
+                          capture_output=True, text=True, check=True)
+    runs, loaded, last, loaded_last = json.loads(done.stdout)
+    assert [record(case, run) for case, run in zip(cases, runs)] == cases
+    assert loaded == []
+    assert record(usage_error, last) == usage_error
+    assert loaded_last
 
 
 class TestErrorHierarchy:
