@@ -17,8 +17,9 @@ subcommand with a single row layout prints it for both csv and table. argv
 is read off the one option table, ``_COMMANDS``, by a layer that knows no
 subcommand's rules; argparse is imported only for what that declines: help,
 usage errors and abbreviations. A row table, CSV or JSON, is written with one
-%-format call on its flattened cells. kernel and cost refuse a table of more
-than ``MAX_ROWS`` rows, --steps per coupling, before building any row.
+%-format call on its flattened cells; in JSON, json's own encoder writes each
+cell's text. kernel and cost refuse a table of more than ``MAX_ROWS`` rows,
+--steps per coupling, before building any row.
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -145,38 +146,28 @@ def _append_json(parts: list, value, pad: str):
 _RowTable = collections.namedtuple("_RowTable", "header rows")
 
 
-# The %-format of a row-table cell of each type: a float or an int by repr,
-# None as null ("%.0s" prints none of "None"); a str or a bool is first given
-# its JSON text by _ROW_TEXT.
-_ROW_CELL = {float: "%r", int: "%r", type(None): "%.0snull", str: "%s", bool: "%s"}
-_ROW_TEXT = {str: _json_str, bool: _JSON_SCALAR[bool]}
+# The JSON text of a list of scalars, its items parted by NUL: ensure_ascii
+# escapes every NUL inside a str, so the text splits exactly at the items.
+_json_items = json.JSONEncoder(separators=("\0", ":")).encode
 
 
 def _append_rows(parts: list, table: _RowTable, pad: str):
     """Append the text of json.dumps of the table's list of dicts. The keys
-    are sorted and escaped once per table, and the whole table is one
-    %-format call on its cells in key order, through one template per
-    distinct row of cell types. A table with a cell of another type or float
-    cells whose sum is not finite (%r writes nan and inf, where JSON has NaN
-    and Infinity) goes to _append_json."""
+    are sorted and escaped once per table into one row template, repeated
+    once per row, and the whole table is one %-format call on the texts that
+    json's encoder writes for the cells in key order. A table with no rows or
+    with a cell of a type other than the five exact JSON scalars goes to
+    _append_json."""
     header, rows = table
     if rows:
         keys = sorted(header)
         # two names or more, so itemgetter returns each row's cells as a tuple
         cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*map(header.index, keys)), rows)))
-        kinds = list(map(type, cells))
-        row_kinds = list(zip(*[iter(kinds)] * len(keys)))  # every picked row has one cell per key
-        distinct = set(row_kinds)
-        present = set(itertools.chain.from_iterable(distinct))
-        if present <= _ROW_CELL.keys() and math.isfinite(sum(filter(float.__instancecheck__, cells))):
+        if set(map(type, cells)) <= _JSON_SCALAR.keys():
             inner = pad + "  "
-            names = [(inner + "  " + _json_str(key) + ": ").replace("%", "%%") for key in keys]
-            templates = {k: "{" + ",".join(map(operator.add, names, map(_ROW_CELL.get, k))) + inner + "}"
-                         for k in distinct}
-            if not present.isdisjoint(_ROW_TEXT):
-                cells = [_ROW_TEXT[k](cell) if k in _ROW_TEXT else cell for cell, k in zip(cells, kinds)]
-            body = ("," + inner).join(map(templates.__getitem__, row_kinds)) % tuple(cells)
-            parts.append("[" + inner + body + pad + "]")
+            row = ",".join([f"{inner}  {_json_str(key).replace('%', '%%')}: %s" for key in keys])
+            body = ("," + inner).join(["{" + row + inner + "}"] * len(rows))
+            parts.append("[" + inner + body % tuple(_json_items(cells)[1:-1].split("\0")) + pad + "]")
             return
     _append_json(parts, [dict(zip(header, row)) for row in rows], pad)
 
@@ -250,6 +241,7 @@ def _u_grid(u_max: float, steps: int, curves: int):
     grid = [u_max * i / (steps - 1) for i in range(steps)]
     if not math.isfinite(grid[-1]):  # u_max * (steps - 1) overflows
         raise NmqemError(f"the u grid overflows at --u-max {u_max} with --steps {steps}")
+    grid[-1] = u_max  # u_max * (steps - 1) / (steps - 1) may round off u_max
     return grid
 
 

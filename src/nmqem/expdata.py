@@ -99,14 +99,18 @@ RekEstimate = collections.namedtuple("RekEstimate", "per_cell min max lsq residu
 def load_counts(source) -> CountTable:
     """Parse and validate a counts (or probs) document.
 
-    ``source`` may be a file object, bytes or a string of JSON text.
+    ``source`` may be a file object, bytes or a string of JSON text; bytes
+    that are not UTF-8 raise ``ParseError``.
     """
     if hasattr(source, "read"):
         raw = source.read()
     else:
         raw = source
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8", errors="replace")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}")
     if not raw.strip():
         raise ParseError("empty document")
     try:

@@ -410,6 +410,19 @@ class TestEstimate:
         assert (code, out) == (3, "")
         assert err == "error: run 'm1': probability for 01 must be a finite nonnegative number\n"
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_utf8_file_is_a_data_error(self, to_file, capsys, tmp_path):
+        # a device label of the bytes \xff\xfe, which no UTF-8 text holds
+        path = tmp_path / "latin.json"
+        text = (FIXTURES / "table2_ionq_swap.json").read_bytes()
+        path.write_bytes(text.replace(b'"IonQ"', b'"\xff\xfeIonQ"'))
+        offset = path.read_bytes().index(b"\xff")
+        out_path = tmp_path / "report.json"
+        argv = ["estimate", "--counts", str(path)] + (["--out", str(out_path)] if to_file else [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", f"error: not UTF-8: byte 0xff at offset {offset}\n")
+        assert not out_path.exists()
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["estimate", "--counts", SWAP_IBM], capsys)
         _, second, _ = run_cli(["estimate", "--counts", SWAP_IBM], capsys)
@@ -843,6 +856,37 @@ def test_well_formed_argv_never_imports_argparse(tmp_path):
     assert loaded == []
     assert record(usage_error, last) == usage_error
     assert loaded_last
+
+
+def _row_tables(value):
+    """Every ``_RowTable`` in a JSON payload."""
+    if type(value) is cli._RowTable:
+        yield value
+    elif isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _row_tables(item)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel"],
+    ["kernel", "--mode", "printed", "--delta0", "0.5", "--steps", "5"],
+    ["kernel", "--mode", "quadrature", "--delta0", "0.5", "--steps", "5"],
+    # the u grid passes alpha = 1/4 at coupling 7e-3, where cost is None
+    ["cost", "--gate", "swap", "--u-max", "10", "--steps", "21"],
+    ["cost", "--gate", "identity", "--u-max", "10", "--steps", "21"],
+    *[["estimate", "--counts", str(FIXTURES / name)] for name in sorted(
+        entry.name for entry in FIXTURES.iterdir() if entry.name.endswith(".json"))],
+])
+def test_every_json_row_table_holds_exact_json_scalars(argv):
+    # so its rows are written through the template, never by the fallback
+    args = cli._parse_args(argv)
+    code, layouts = args.func(args)
+    (header, rows), = _row_tables(layouts["json"]())
+    cells = [cell for row in rows for cell in row]
+    assert code == 0 and rows and len(cells) == len(header) * len(rows)
+    assert {type(cell) for cell in cells} <= {str, int, float, bool, type(None)}
+    if argv[0] == "cost":
+        assert None in cells
 
 
 class TestErrorHierarchy:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from nmqem.channel import NmqemError, input_labels  # noqa: E402
 from nmqem.cli import (  # noqa: E402
-    _emit_csv, _emit_json, _join_negative_values, _parse_args, _RowTable, build_parser, main,
+    _emit_csv, _emit_json, _join_negative_values, _parse_args, _RowTable, _u_grid, build_parser, main,
 )
 from nmqem.expdata import OUTCOMES  # noqa: E402
 from test_cli import CASE_FILES  # noqa: E402
@@ -176,6 +176,21 @@ def test_numeric_argv_exit_cleanly(out_dir, case):
         assert not NON_FINITE.search(text), (case, text[:200])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u_max=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       steps=st.integers(min_value=2, max_value=1000))
+@example(u_max=0.1, steps=4)  # 0.1 * 3 / 3 is 0.10000000000000002
+@example(u_max=5e-324, steps=1000)  # a subnormal step rounds up to u_max itself
+def test_u_grid_runs_from_zero_to_exactly_u_max(u_max, steps):
+    try:
+        grid = _u_grid(u_max, steps, 1)
+    except NmqemError:
+        assert u_max * (steps - 1) == math.inf  # only an overflowing grid is refused
+        return
+    assert len(grid) == steps and grid[0] == 0.0 and grid[-1] == u_max
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=alpha_argvs())
 # a non-finite alpha, a near-singular one that reports with a warning and one
@@ -284,6 +299,10 @@ def as_dicts(header, rows):
 @example(table=(["u", "cost", "ok"], [[0.5, 1.25, True], [0.75, 2.5, True], [1.0, None, False],
                                        [1.0, "x", True], [1.0, math.nan, False]]))
 @example(table=(["b", "a"], []))
+# the template's own "%" in keys and cells, a NUL in a str, and every
+# non-finite float beside bool and None cells
+@example(table=(["%", "k", "ok", "none"], [["\x00", math.nan, True, None], ["%s", math.inf, False, None],
+                                           ["%%", -math.inf, True, None], ["a\x00%s%%", -0.0, False, None]]))
 def test_row_table_writer_equals_json_dumps_of_its_dicts(table):
     header, rows = table
     assert _emit_json(_RowTable(header, rows)) == json.dumps(as_dicts(header, rows), indent=2,

@@ -76,6 +76,11 @@ class TestLoadCounts:
         with pytest.raises(ParseError, match=f"^invalid JSON: .*{message}"):
             load_counts(text)
 
+    def test_non_utf8_bytes_are_a_parse_error(self):
+        text = b'{"gate": "swap", "device": "\xff\xfeIonQ", "shots": 1, "runs": []}'
+        with pytest.raises(ParseError, match="^not UTF-8: byte 0xff at offset 28$"):
+            load_counts(text)
+
     def test_non_object_top_level(self):
         with pytest.raises(ParseError):
             load_counts("[1, 2]")
