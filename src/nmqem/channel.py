@@ -159,7 +159,7 @@ GATES = tuple(_GATES)
 def _gate_record(gate: str):
     record = _GATES.get(gate)
     if record is None:
-        raise ValueError(f"unknown gate {gate!r}")
+        raise NmqemError(f"unknown gate {gate!r}")
     return record
 
 

@@ -23,7 +23,8 @@ cell's text. kernel and cost refuse a table of more than ``MAX_ROWS`` rows,
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
-3 an ``expdata.DataError`` or an ``OSError``. Any other exception is a bug and
+3 an ``expdata.DataError``, an ``OSError`` or output that stdout cannot
+encode (--out is written as UTF-8). Any other exception is a bug and
 propagates. All output is deterministic; numbers have 10 significant digits.
 """
 
@@ -603,11 +604,17 @@ def main(argv=None) -> int:
             if fmt not in layouts:  # a single row layout is printed for both csv and table
                 fmt = "table" if fmt == "csv" else "csv"
             text = _WRITERS[fmt](layouts[fmt]()) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        try:
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                data = text.encode("utf-8")  # before the file is opened, so a failure leaves none
+                with open(args.out, "wb") as fh:
+                    fh.write(data)
+        except UnicodeEncodeError as exc:  # a stdout whose encoding lacks a character of the text
+            print(f"error: cannot write the output as {exc.encoding}: "
+                  f"{exc.object[exc.start:exc.end]!a}", file=sys.stderr)
+            return EXIT_DATA
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         return code

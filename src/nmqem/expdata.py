@@ -96,11 +96,24 @@ CellEstimate = collections.namedtuple("CellEstimate", "input output role estimat
 RekEstimate = collections.namedtuple("RekEstimate", "per_cell min max lsq residual")
 
 
+def _object(pairs) -> dict:
+    """A JSON object as a dict; a repeated key raises SchemaError."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def load_counts(source) -> CountTable:
     """Parse and validate a counts (or probs) document.
 
     ``source`` may be a file object, bytes or a string of JSON text; bytes
-    that are not UTF-8 raise ``ParseError``.
+    that are not UTF-8 raise ``ParseError``, a key repeated within one JSON
+    object ``SchemaError``.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -114,7 +127,9 @@ def load_counts(source) -> CountTable:
     if not raw.strip():
         raise ParseError("empty document")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_object)
+    except SchemaError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except (RecursionError, ValueError) as exc:  # nested too deeply, an integer too long

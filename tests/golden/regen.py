@@ -8,7 +8,9 @@ the key of each CLI case and digest block whose content changed, one per
 line, as "changed <key>", "added <key>" or "removed <key>". A changed entry
 whose text differs only in its numbers is sized: "changed k_printed/a: 14
 values, max 3 ulp" counts the numbers that moved and gives the largest move
-in units in the last place of a double.
+in units in the last place of a double. A block stored as its sha256 alone
+is named without a size; the edge/* block of an alpha grid sizes its move at
+a few alphas.
 """
 
 from __future__ import annotations
@@ -144,16 +146,23 @@ def run_case(template, tmp: str) -> dict:
 #     <n lines>
 #     stderr: <m>
 #     <m lines>
+#
+# A non-empty stream equal to the same stream of an earlier record is written
+# as a reference to that record's case id, "stdout: = <case id>".
 
 
 def dump_cli(results: dict) -> str:
-    out = []
+    out, first = [], {}
     for key, r in results.items():
         out += [f"=== {key}", f"argv: {json.dumps(r['argv'])}", f"exit: {r['exit']}"]
         for stream in ("stdout", "stderr"):
             text = r[stream]
             if text and not text.endswith("\n"):
                 raise ValueError(f"{key}: {stream} does not end with a newline")
+            source = first.setdefault((stream, text), key) if text else key
+            if source != key:
+                out.append(f"{stream}: = {source}")
+                continue
             lines = text.splitlines()
             out += [f"{stream}: {len(lines)}", *lines]
     return "\n".join(out) + "\n"
@@ -167,8 +176,11 @@ def load_cli(text: str) -> dict:
         r = {"argv": json.loads(next(lines).removeprefix("argv: ")),
              "exit": int(next(lines).removeprefix("exit: "))}
         for stream in ("stdout", "stderr"):
-            count = int(next(lines).removeprefix(f"{stream}: "))
-            r[stream] = "".join(next(lines) + "\n" for _ in range(count))
+            count = next(lines).removeprefix(f"{stream}: ")
+            if count.startswith("= "):
+                r[stream] = results[count.removeprefix("= ")][stream]
+            else:
+                r[stream] = "".join(next(lines) + "\n" for _ in range(int(count)))
         results[key] = r
     return results
 
@@ -191,8 +203,38 @@ def digest_alphas():
     return [i / 400 for i in range(100)] + [0.25 - 2.0 ** -e for e in range(5, 17)]
 
 
+# The alphas whose lines the edge/* blocks keep as text: zero, the smallest
+# subnormal, small alphas, the grid's middle and the approach to 1/4. All but
+# 5e-324, 2^-30 and 1e-3 lie on digest_alphas().
+EDGE_ALPHAS = (0.0, 5e-324, 2.0 ** -30, 1e-3, 0.05, 0.1, 0.2,
+               0.25 - 2.0 ** -5, 0.25 - 2.0 ** -12, 0.25 - 2.0 ** -16)
+
+
+def alpha_lines(gate: str, alphas) -> dict:
+    """{quantity: one line per alpha} of a gate's forward half: the predict
+    table, the recovery operator with its Gamma weights, the printed cost,
+    cost_from_decomposition and reconstruct."""
+    printed = recovery.printed_cost(gate)
+    basis = gamma.build_gamma_basis()
+    names = ("predict_table", "recovery_op", printed.__name__, "cost_from_decomposition", "reconstruct")
+    quantities = {name: [] for name in names}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # nearly singular near 1/4
+        for alpha in alphas:
+            op = recovery.recovery_op(gate, alpha)
+            rows = (_row(v for row in channel.predict_table(gate, alpha) for v in row),
+                    f"{_row(op.matrix.entries)} | {_row(op.gamma.coeffs.values())}",
+                    printed(alpha).hex(),
+                    recovery.cost_from_decomposition(op).hex(),
+                    _row(gamma.reconstruct(basis, op.gamma).entries))
+            for lines, row in zip(quantities.values(), rows):
+                lines.append(f"{alpha.hex()} {row}")
+    return quantities
+
+
 def digest_blocks() -> dict:
-    """{block name: hex lines}, one line per row or per alpha."""
+    """{block name: lines} of every digest.json block, one line per row, alpha
+    or draw."""
     blocks = {}
     for gate in channel.GATES:
         basis = channel.basis_for_gate(gate)
@@ -203,25 +245,11 @@ def digest_blocks() -> dict:
         blocks[f"rate_matrix/{gate}"] = [_row(rates[4 * a:4 * a + 4]) for a in range(4)]
         blocks[f"population_weights/{gate}"] = [_row(row) for row in channel._weights(basis)]
         blocks[f"vectors/{gate}"] = [_row(v) for v in basis.vectors]
-        blocks[f"predict_table/{gate}"] = [
-            f"{alpha.hex()} {_row(v for row in channel.predict_table(gate, alpha) for v in row)}"
-            for alpha in digest_alphas()]
-        printed = recovery.printed_cost(gate)
-        lines, costs, decomposition_costs, reconstructed = [], [], [], []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # nearly singular near 1/4
-            for i, alpha in enumerate(digest_alphas()):
-                op = recovery.recovery_op(gate, alpha)
-                lines.append(f"{alpha.hex()} {_row(op.matrix.entries)} | {_row(op.gamma.coeffs.values())}")
-                costs.append(f"{alpha.hex()} {printed(alpha).hex()}")
-                decomposition_costs.append(f"{alpha.hex()} {recovery.cost_from_decomposition(op).hex()}")
-                if i % 4 == 0:  # every fourth alpha, which keeps the corpus under 500 KB
-                    entries = gamma.reconstruct(gamma.build_gamma_basis(), op.gamma).entries
-                    reconstructed.append(f"{alpha.hex()} {_row(entries)}")
-        blocks[f"recovery_op/{gate}"] = lines
-        blocks[f"{printed.__name__}/{gate}"] = costs
-        blocks[f"cost_from_decomposition/{gate}"] = decomposition_costs
-        blocks[f"reconstruct/{gate}"] = reconstructed
+        grid = alpha_lines(gate, digest_alphas())
+        grid["reconstruct"] = grid["reconstruct"][::4]  # the every-fourth-alpha grid its hash was taken on
+        blocks.update((f"{quantity}/{gate}", lines) for quantity, lines in grid.items())
+        blocks.update((f"edge/{quantity}/{gate}", lines)
+                      for quantity, lines in alpha_lines(gate, EDGE_ALPHAS).items())
     for name, argv in KERNEL_PARAMS.items():
         # the KernelParams and u grid that ``kernel --mode {printed,quadrature}`` evaluates
         args = _parse_args(["kernel", *argv])
@@ -229,6 +257,8 @@ def digest_blocks() -> dict:
         for k in (kernel.k_printed, kernel.k_quadrature):
             blocks[f"{k.__name__}/{name}"] = [f"{c.hex()} {u.hex()} {_hex(k(p, u))}"
                                               for c, p in params for u in _u_grid(args.u_max, args.steps, len(params))]
+    blocks.update((f"sweep/{gate}", sweep_lines(gate)) for gate in channel.GATES)
+    blocks["sweep/gamma_weights"] = gamma_weight_lines()
     return blocks
 
 
@@ -321,16 +351,22 @@ def gamma_weight_lines() -> list:
     return lines
 
 
-# Blocks too large to keep as text: the corpus stores only their sha256.
-def hashed_blocks() -> dict:
-    """{block name: lines} of the blocks stored as sha256 alone."""
-    blocks = {f"sweep/{gate}": sweep_lines(gate) for gate in channel.GATES}
-    blocks["sweep/gamma_weights"] = gamma_weight_lines()
-    return blocks
-
-
 def sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# The quantities whose blocks digest.json keeps as hex text beside their
+# sha256. Every other block, an alpha grid or a sweep, is stored as its sha256
+# alone, which pins every bit; a grid's edge/* block keeps a few of its lines
+# as text, which size a move.
+HEX_KEPT = ("m_tensor", "rate_matrix", "population_weights", "vectors", "edge", "k_printed", "k_quadrature")
+
+
+def stored(name: str, lines: list) -> dict:
+    """A block as digest.json stores it."""
+    if name.split("/")[0] in HEX_KEPT:
+        return {"sha256": sha256(lines), "hex": lines}
+    return {"sha256": sha256(lines)}
 
 
 # A number as the corpus writes it: float.hex in the digest, repr or
@@ -355,19 +391,33 @@ def moved(old: str, new: str) -> str:
     return f"{len(ulps)} value{'s' * (len(ulps) != 1)}, max {max(ulps, default=0)} ulp"
 
 
-def changed_keys(old: dict, new: dict, text=None) -> list:
+def changed_keys(old: dict, new: dict, pin=None, text=None) -> list:
     """"<status> <key>" for each entry that differs between two versions of
-    the corpus: changed, added or removed. With ``text``, which reads an
-    entry's text or None, a changed entry is sized by ``moved``."""
+    the corpus: changed, added or removed. ``pin`` reads what an entry pins,
+    the entry itself by default. With ``text``, which reads an entry's text or
+    None, a changed entry whose text both versions keep is sized by ``moved``."""
+    pin = pin or (lambda entry: entry)
     lines = []
     for key in {**old, **new}:
-        if old.get(key) == new.get(key):
-            continue
-        line = f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
-        if key in old and key in new and text and text(old[key]) is not None:
-            line += f": {moved(text(old[key]), text(new[key]))}"
-        lines.append(line)
+        if key not in new or key not in old:
+            lines.append(f"{'added' if key not in old else 'removed'} {key}")
+        elif pin(old[key]) != pin(new[key]):
+            texts = (text(old[key]), text(new[key])) if text else (None,)
+            lines.append(f"changed {key}" + ("" if None in texts else f": {moved(*texts)}"))
     return lines
+
+
+def changed_cases(old: dict, new: dict) -> list:
+    """changed_keys of two loaded cli.txt corpora, whose records hold every
+    stream resolved."""
+    return changed_keys(old, new, text=lambda r: f"{r['exit']}\n{r['stdout']}\n{r['stderr']}")
+
+
+def changed_blocks(old: dict, new: dict) -> list:
+    """changed_keys of two digest.json corpora: a block changes when its
+    sha256 does."""
+    return changed_keys(old, new, pin=lambda block: block["sha256"],
+                        text=lambda block: "\n".join(block["hex"]) if "hex" in block else None)
 
 
 def regenerate():
@@ -378,13 +428,10 @@ def regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         write_case_files(tmp)
         cli = {key: run_case(argv, tmp) for key, argv in cli_cases().items()}
+    digest = {name: stored(name, lines) for name, lines in digest_blocks().items()}
     CLI_PATH.write_text(dump_cli(cli))
-    digest = {name: {"sha256": sha256(lines), "hex": lines} for name, lines in digest_blocks().items()}
-    digest.update((name, {"sha256": sha256(lines)}) for name, lines in hashed_blocks().items())
     DIGEST_PATH.write_text(json.dumps(digest, indent=1) + "\n")
-    cli_text = (lambda r: f"{r['exit']}\n{r['stdout']}\n{r['stderr']}")
-    digest_text = (lambda block: "\n".join(block["hex"]) if "hex" in block else None)
-    for line in changed_keys(old_cli, cli, cli_text) + changed_keys(old_digest, digest, digest_text):
+    for line in changed_cases(old_cli, cli) + changed_blocks(old_digest, digest):
         print(line)
 
 

@@ -284,7 +284,7 @@ class TestPopulationChannel:
                 assert ch.matrix[i][j] == pytest.approx(a + b * alpha, abs=1e-14)
 
     def test_columns_stochastic(self):
-        for gate in ("swap", "identity"):
+        for gate in GATES:
             ch = population_channel(gate, 0.07)
             for j in range(4):
                 assert sum(ch.column(j)) == pytest.approx(1.0, abs=1e-12)
@@ -664,7 +664,7 @@ class TestPredictTable:
     @pytest.mark.parametrize("gate", GATES)
     def test_exact_at_zero_and_quarter(self, gate, alpha):
         # the points classify_cells reads; every product there is dyadic
-        model = SWAP_TABLE if gate == "swap" else ID_CHANNEL
+        model = {"swap": SWAP_TABLE, "identity": ID_CHANNEL}[gate]
         table = predict_table(gate, alpha)
         assert table == tuple(tuple(a + b * alpha for a, b in row) for row in model)
 
@@ -684,7 +684,7 @@ class TestPredictTable:
                 assert table[i][j] == pytest.approx(ch.matrix[i][j], abs=1e-15)
 
     def test_columns_sum_to_one(self):
-        for gate in ("swap", "identity"):
+        for gate in GATES:
             table = predict_table(gate, 0.08)
             for j in range(4):
                 assert sum(table[i][j] for i in range(4)) == pytest.approx(1.0, abs=1e-12)

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from nmqem import cli, gamma
-from nmqem.channel import AlphaOutOfRange, NmqemError
+from nmqem.channel import (GATES, AlphaOutOfRange, NmqemError, basis_for_gate, input_labels,
+                           population_channel, predict_table)
 from nmqem.cli import build_parser, main, run_gamma_check
-from nmqem.expdata import DataError, EmptyRun, ParseError, SchemaError
+from nmqem.expdata import DataError, EmptyRun, ParseError, SchemaError, classify_cells
 from nmqem.kernel import KernelParams, k_printed, k_quadrature
 from nmqem.linalg import CMat
-from nmqem.recovery import DenominatorNearZero
+from nmqem.recovery import DenominatorNearZero, recovery_op
 
 FIXTURES = files("nmqem") / "fixtures"
 SWAP_IBM = str(FIXTURES / "table3_ibm_swap.json")
@@ -285,7 +286,7 @@ class TestCost:
     # u = 1 rows at alpha = 0.2499999999, inside the determinant guard below
     # 1/4, and at alpha = 0.250000025, past 1/4
     @pytest.mark.parametrize("coupling", ["0.18963674817283932", "0.18963676721236886"])
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     def test_row_at_the_singularity_is_flagged(self, gate, coupling, capsys):
         argv = ["cost", "--gate", gate, "--coupling", coupling, "--u-max", "1", "--steps", "2"]
         code, out, err = run_cli(argv, capsys)
@@ -401,6 +402,16 @@ class TestEstimate:
         bad.write_text("{not json")
         code, _, _ = run_cli(["estimate", "--counts", str(bad)], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"00": 936,', '"00": 936, "00": 5,', "00"),
+        ('"gate": "swap",', '"gate": "swap", "gate": "identity",', "gate"),
+    ])
+    def test_repeated_key_is_a_data_error(self, old, new, key, capsys, tmp_path):
+        path = tmp_path / "repeated.json"
+        path.write_text(Path(SWAP_IBM).read_text().replace(old, new))
+        code, out, err = run_cli(["estimate", "--counts", str(path)], capsys)
+        assert (code, out, err) == (3, "", f"error: repeated key '{key}'\n")
 
     def test_huge_integer_probability_is_a_data_error(self, capsys, tmp_path):
         # json reads a 401-digit literal as an int, which no float holds
@@ -905,3 +916,65 @@ class TestErrorHierarchy:
         monkeypatch.setattr(cli, "predict_table", overflow)
         with pytest.raises(OverflowError, match="stray"):
             main(["predict", "--gate", "swap", "--alpha", "0.02"])
+
+    @pytest.mark.parametrize("call", [
+        lambda: predict_table("cnot", 0.02), lambda: population_channel("cnot", 0.02),
+        lambda: recovery_op("cnot", 0.02), lambda: basis_for_gate("cnot"),
+        lambda: input_labels("cnot"), lambda: classify_cells("cnot")],
+        ids=["predict_table", "population_channel", "recovery_op", "basis_for_gate", "input_labels",
+             "classify_cells"])
+    def test_unknown_gate_is_an_nmqem_error(self, call):
+        with pytest.raises(NmqemError, match="^unknown gate 'cnot'$"):
+            call()
+
+    def test_stray_encode_error_in_a_command_propagates(self, monkeypatch):
+        # only the write of the output reads as an unwritable stdout
+        def encode(*args):
+            raise UnicodeEncodeError("ascii", "\u03a9", 0, 1, "stray")
+
+        monkeypatch.setattr(cli, "predict_table", encode)
+        with pytest.raises(UnicodeEncodeError):
+            main(["predict", "--gate", "swap", "--alpha", "0.02"])
+
+
+class TestOutputEncoding:
+    """Output with a character that the output's encoding lacks; the stdout
+    and locale cases run in a fresh interpreter whose environment sets its
+    encodings."""
+
+    @pytest.fixture
+    def omega(self, tmp_path):
+        doc = json.loads(Path(SWAP_IBM).read_text())
+        doc["device"] = "IBM \u03a9mega"
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def run(argv, **env):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **env}
+        return subprocess.run([sys.executable, "-m", "nmqem.cli", *argv], env=env, capture_output=True)
+
+    def test_ascii_stdout_is_a_data_error_that_writes_nothing(self, omega):
+        done = self.run(["estimate", "--counts", omega, "--format", "table"], PYTHONIOENCODING="ascii")
+        assert (done.returncode, done.stdout) == (3, b"")
+        assert done.stderr == b"error: cannot write the output as ascii: '\\u03a9'\n"
+
+    def test_out_is_utf8_under_the_c_locale(self, omega, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        done = self.run(["estimate", "--counts", omega, "--format", "table", "--out", str(out)],
+                        LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert main(["estimate", "--counts", omega, "--format", "table"]) == 0
+        text = capsys.readouterr().out
+        assert "device:   IBM \u03a9mega\n" in text
+        assert out.read_bytes() == text.encode("utf-8")
+
+    def test_lone_surrogate_leaves_no_out_file(self, tmp_path, capsys):
+        # json reads "\ud800" as a lone surrogate, which UTF-8 cannot encode
+        counts = tmp_path / "surrogate.json"
+        counts.write_text(Path(SWAP_IBM).read_text().replace('"ibm_guadalupe"', '"\\ud800"'))
+        out = tmp_path / "report.txt"
+        assert main(["estimate", "--counts", str(counts), "--format", "table", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "error: cannot write the output as utf-8: '\\ud800'\n")

@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from nmqem.channel import NmqemError, input_labels  # noqa: E402
+from nmqem.channel import GATES, NmqemError, input_labels  # noqa: E402
 from nmqem.cli import (  # noqa: E402
     _emit_csv, _emit_json, _join_negative_values, _parse_args, _RowTable, _u_grid, build_parser, main,
 )
@@ -53,7 +53,7 @@ def argvs(draw):
     command = draw(st.sampled_from(("kernel", "cost")))
     argv = [command]
     if command == "cost":
-        argv += ["--gate", draw(st.sampled_from(("swap", "identity")))]
+        argv += ["--gate", draw(st.sampled_from(GATES))]
     # kernel's --gamma0 sets the one coupling and refuses a --coupling beside it
     if command == "kernel" and draw(st.booleans()):
         argv += ["--gamma0", draw(numbers())]
@@ -71,7 +71,7 @@ def argvs(draw):
 @st.composite
 def alpha_argvs(draw):
     argv = [draw(st.sampled_from(("predict", "decompose")))]
-    argv += ["--gate", draw(st.sampled_from(("swap", "identity", "cnot")))]
+    argv += ["--gate", draw(st.sampled_from((*GATES, "cnot")))]
     argv += ["--alpha=" + draw(numbers(ALPHAS))]  # one token, so that "-inf" is a value
     argv += ["--format", draw(st.sampled_from(("csv", "json", "table")))]
     return argv, draw(st.booleans())
@@ -107,7 +107,7 @@ def estimate_cases(draw):
     """(document text, argv without --counts, with --out): a valid document
     of counts, of probs or of both kinds mixed, and then a few of its cells
     and its shots maybe replaced by arbitrary values."""
-    gate = draw(st.sampled_from(("swap", "identity")))
+    gate = draw(st.sampled_from(GATES))
     kind = draw(st.sampled_from(("counts", "probs", "mixed")))
     runs, tables = [], []
     for label in input_labels(gate):
@@ -124,7 +124,7 @@ def estimate_cases(draw):
     document = json.dumps({"gate": gate, "device": device, "shots": shots, "runs": runs})
     argv = ["estimate"]
     if draw(st.booleans()):
-        argv += ["--gate", draw(st.sampled_from(("swap", "identity")))]
+        argv += ["--gate", draw(st.sampled_from(GATES))]
     argv += ["--format", draw(st.sampled_from(("csv", "json", "table")))]
     return document, argv, draw(st.booleans())
 
@@ -412,7 +412,7 @@ def cli_stdout(argv):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(gate=st.sampled_from(("swap", "identity")), alpha=st.floats(0.0, 1.0 / 3.0))
+@given(gate=st.sampled_from(GATES), alpha=st.floats(0.0, 1.0 / 3.0))
 # cells of 15 characters, which ran into their left neighbour in a 14-wide table
 @example(gate="identity", alpha=1.234567891e-5)
 @example(gate="swap", alpha=0.0001234567891)

@@ -5,7 +5,7 @@ from importlib.resources import files
 
 import pytest
 
-from nmqem.channel import input_labels, predict_table
+from nmqem.channel import GATES, input_labels, predict_table
 from nmqem.expdata import (
     OUTCOMES,
     ROLE_ALPHA,
@@ -118,6 +118,16 @@ class TestLoadCounts:
         doc["runs"].append({"input": "00", "counts": {"00": 1}})
         with pytest.raises(SchemaError, match="duplicate"):
             load_counts(json.dumps(doc))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"00": 936,', '"00": 936, "00": 5,', "00"),  # read alone, the last value moves max to 0.3478
+        ('"gate": "swap",', '"gate": "swap", "gate": "identity",', "gate"),
+    ])
+    def test_repeated_key(self, old, new, key):
+        text = (FIXTURES / "table3_ibm_swap.json").read_text()
+        assert text.count(old) == 1
+        with pytest.raises(SchemaError, match=f"^repeated key '{key}'$"):
+            load_counts(text.replace(old, new))
 
     def test_missing_input(self):
         doc = self.base_doc()
@@ -270,7 +280,7 @@ class TestClassifyCells:
             with pytest.raises(ValueError):
                 classify_cells("cnot")
 
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     def test_cached_roles_equal_the_probe(self, gate):
         # the exact pairs against a probe of the table at alpha = 0 and 0.1,
         # matched to the known pairs within 1e-9
@@ -295,7 +305,7 @@ class TestClassifyCells:
 
 
 class TestEstimate:
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     @pytest.mark.parametrize("alpha", [0.005, 0.01, 0.02, 0.05])
     def test_round_trip_on_exact_tables(self, gate, alpha):
         pt = prob_table_from_predicted(gate, alpha)
@@ -328,7 +338,7 @@ class TestEstimate:
         alpha_cells = [c for c in est.per_cell if c.role == ROLE_ALPHA]
         assert len(alpha_cells) == 8
 
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     def test_each_role_names_its_cell_pair(self, gate):
         cells = classify_cells(gate)
         inputs = input_labels(gate)
@@ -356,7 +366,7 @@ class TestEstimate:
         rng = random.Random(14)
         tables = [[[rng.random() for _ in range(4)] for _ in range(4)] for _ in range(200)]
         tables += [[[v] * 4 for _ in range(4)] for v in (0.0, 0.5, 1.0, 0.25)]
-        for gate in ("swap", "identity"):
+        for gate in GATES:
             cells = classify_cells(gate)
             for table in tables:
                 est = estimate_re_k(ProbTable(gate, "synthetic", table))

@@ -13,6 +13,7 @@ from nmqem.gamma import (
     is_orthogonal,
     reconstruct,
 )
+from nmqem.channel import GATES
 from nmqem.linalg import PAULI, CMat, identity, kron, mat_mul, solve_linear
 
 BASIS = build_gamma_basis()
@@ -336,7 +337,7 @@ def entry_bits(m):
 
 class TestReconstruct:
     @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     def test_equals_matrix_sum_fold_on_recovery_operators(self, gate):
         from nmqem.recovery import recovery_op
 

@@ -34,7 +34,7 @@ def test_cli_bytes(key, case_dir):
 
 @pytest.fixture(scope="module")
 def blocks():
-    return {**regen.digest_blocks(), **regen.hashed_blocks()}
+    return regen.digest_blocks()
 
 
 def test_digest_covers_every_block(blocks):
@@ -66,3 +66,26 @@ def test_changed_keys_sizes_each_moved_entry():
         "changed a: 3 values, max 2 ulp", "changed b: text changed"]
     # a zero that changes sign moves by no ulp, but its text moved
     assert regen.moved("-0.0 inf nan", "0.0 inf nan") == "1 value, max 0 ulp"
+
+
+def test_changed_keys_compares_blocks_by_hash():
+    # a block that drops its hex text has not changed; one whose hash moved
+    # while a side keeps no text is named without a size
+    one, two = ["0x1.0000000000000p+0"], ["0x1.0000000000001p+0"]
+    hexed = {"sha256": regen.sha256(one), "hex": one}
+    old = {"same": hexed, "moved": hexed, "sized": hexed}
+    new = {"same": {"sha256": hexed["sha256"]}, "moved": {"sha256": regen.sha256(two)},
+           "sized": {"sha256": regen.sha256(two), "hex": two}}
+    assert regen.changed_blocks(old, new) == ["changed moved", "changed sized: 1 value, max 1 ulp"]
+
+
+def test_changed_keys_compares_cases_by_resolved_record():
+    # a stream equal to an earlier record's is stored as a reference to it
+    # and read back as its text
+    record = {"argv": ["kernel"], "exit": 0, "stdout": "u,k\n0,1\n", "stderr": ""}
+    results = {"first": record, "again": {**record, "argv": ["kernel", "--format", "table"]}}
+    text = regen.dump_cli(results)
+    assert text.count("stdout: = first") == 1 and text.count("u,k") == 1
+    assert "stderr: = " not in text  # an empty stream stays a count
+    assert regen.load_cli(text) == results
+    assert regen.changed_cases(results, regen.load_cli(text)) == []

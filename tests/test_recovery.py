@@ -8,7 +8,7 @@ import pytest
 
 from golden import regen
 from nmqem import channel, recovery
-from nmqem.channel import population_channel, predict_table
+from nmqem.channel import GATES, population_channel, predict_table
 from nmqem.gamma import BASIS_ORDER, build_gamma_basis, decompose, reconstruct
 from nmqem.linalg import CMat, identity, mat_mul
 from nmqem.recovery import (
@@ -30,10 +30,15 @@ from nmqem.recovery import (
 )
 from test_channel import exact_rate_matrix
 
-GATES = ("swap", "identity")
 GRID = [i * 0.01 for i in range(25)]  # 0.00 .. 0.24
 # 1/4 - 10^-2 ... 1/4 - 10^-4 in quarter decades, and one more point
 APPROACH = [0.25 - 10.0 ** (-k / 4) for k in range(8, 17)] + [0.24989059404470026]
+
+# Each gate's closed forms, picked by gate so that a gate with none of its
+# own fails here instead of meeting another gate's
+CLOSED_MATRIX = {"swap": swap_recovery_matrix, "identity": id_recovery_matrix}
+CLOSED_RECORD = {"swap": closed_form_swap, "identity": closed_form_id}
+PRINTED_COST = {"swap": cost_swap, "identity": cost_id}
 
 # channel matrices as affine functions of alpha: matrix[out][in] = a + b*alpha
 CHANNELS = {
@@ -149,9 +154,9 @@ class TestClosedForms:
     def test_single_alpha_error_class(self):
         assert AlphaOutOfRange is channel.AlphaOutOfRange
 
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     def test_against_exact_inverse_near_quarter(self, gate):
-        closed = swap_recovery_matrix if gate == "swap" else id_recovery_matrix
+        closed = CLOSED_MATRIX[gate]
         for alpha in GRID + APPROACH:
             exact = exact_inverse(gate, alpha)
             scale = max(abs(float(x)) for row in exact for x in row)
@@ -186,20 +191,22 @@ def factored_record(gate, alpha):
     a = Fraction(alpha)
     p, q = 1 - 2 * a, 1 - 4 * a
     b, c, d, e = -a / q, (q + 2 * a * a) / (p * q), 2 * a * a / (p * q), (1 - a) / q
-    return {"B": b, "C": c, "D": d, "E": e} if gate == "swap" else {"F": c, "G": d, "H": b}
+    return {"swap": {"B": b, "C": c, "D": d, "E": e}, "identity": {"F": c, "G": d, "H": b}}[gate]
 
 
 def printed_combination(gate, r):
     """The printed cost of an exact record."""
-    if gate == "swap":
-        return abs(r["C"] + r["E"]) / 2 + abs(r["C"] - r["E"]) / 2 + 3 * abs(r["B"]) + abs(r["D"])
-    return abs(r["F"]) + abs(r["G"]) + 2 * abs(r["H"])
+    combination = {
+        "swap": lambda: abs(r["C"] + r["E"]) / 2 + abs(r["C"] - r["E"]) / 2 + 3 * abs(r["B"]) + abs(r["D"]),
+        "identity": lambda: abs(r["F"]) + abs(r["G"]) + 2 * abs(r["H"]),
+    }
+    return combination[gate]()
 
 
 def exact_cost(gate, alpha):
     """The printed cost's reduced closed form, in rationals."""
     a = Fraction(alpha)
-    return (1 - 2 * a * a) / ((1 - 2 * a) * (1 - 4 * a)) if gate == "swap" else 1 / (1 - 4 * a)
+    return {"swap": (1 - 2 * a * a) / ((1 - 2 * a) * (1 - 4 * a)), "identity": 1 / (1 - 4 * a)}[gate]
 
 
 def in_domain(alphas, fn):
@@ -226,7 +233,7 @@ class TestClosedFormRecord:
 
     @pytest.mark.parametrize("gate", GATES)
     def test_record_against_exact_inverse(self, gate):
-        closed = closed_form_swap if gate == "swap" else closed_form_id
+        closed = CLOSED_RECORD[gate]
         for alpha in GRID + APPROACH:
             scale = max(abs(x) for row in exact_inverse(gate, alpha) for x in row)
             want = exact_record(gate, alpha)
@@ -238,7 +245,7 @@ class TestClosedFormRecord:
 
     @pytest.mark.parametrize("gate", GATES)
     def test_record_is_the_matrix_entries(self, gate):
-        closed = closed_form_swap if gate == "swap" else closed_form_id
+        closed = CLOSED_RECORD[gate]
         for alpha in in_domain(regen.sweep_alphas(), closed):
             op = recovery_op(gate, alpha)
             for name, (i, j) in RECORD_ENTRIES[gate].items():
@@ -262,7 +269,7 @@ class TestClosedFormRecord:
     def test_printed_matrix_is_recovery_op_bit_for_bit(self, gate):
         # the printed pattern is V^-1's structure: every entry, not only the
         # record's, equals the spectral route's
-        closed = swap_recovery_matrix if gate == "swap" else id_recovery_matrix
+        closed = CLOSED_MATRIX[gate]
         alphas = in_domain(regen.sweep_alphas(), closed)
         assert len(alphas) > 4200
         for alpha in alphas:
@@ -272,7 +279,7 @@ class TestClosedFormRecord:
 
     @pytest.mark.parametrize("gate", GATES)
     def test_costs_against_exact_rationals(self, gate):
-        cost = cost_swap if gate == "swap" else cost_id
+        cost = PRINTED_COST[gate]
         alphas = in_domain(regen.sweep_alphas(), cost)
         assert len(alphas) > 4200
         for alpha in alphas:
@@ -281,7 +288,7 @@ class TestClosedFormRecord:
 
     @pytest.mark.parametrize("gate", GATES)
     def test_exact_costs_are_the_printed_combinations(self, gate):
-        cost = cost_swap if gate == "swap" else cost_id
+        cost = PRINTED_COST[gate]
         for alpha in in_domain(regen.sweep_alphas(), cost):
             assert printed_combination(gate, factored_record(gate, alpha)) == exact_cost(gate, alpha)
         for alpha in GRID + APPROACH:
@@ -289,9 +296,9 @@ class TestClosedFormRecord:
 
 
 class TestNumericInverse:
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     def test_closed_form_equals_numeric_inverse(self, gate):
-        closed = swap_recovery_matrix if gate == "swap" else id_recovery_matrix
+        closed = CLOSED_MATRIX[gate]
         for alpha in GRID:
             ch = population_channel(gate, alpha)
             numeric = recovery_numeric(ch)
@@ -350,7 +357,7 @@ class TestCosts:
                 recovery.printed_cost(gate)
 
     @pytest.mark.filterwarnings("ignore:channel nearly singular:RuntimeWarning")
-    @pytest.mark.parametrize("gate", ["swap", "identity"])
+    @pytest.mark.parametrize("gate", GATES)
     def test_decomposition_cost_is_the_induced_one_norm(self, gate):
         # ||V^-1||_{1->1}, the largest column absolute sum of the recovery
         # matrix, is the least quasi-probability cost of any expansion of
@@ -452,7 +459,7 @@ class TestRecoveryOp:
         from nmqem.gamma import build_gamma_basis, reconstruct
 
         basis = build_gamma_basis()
-        for gate in ("swap", "identity"):
+        for gate in GATES:
             op = recovery_op(gate, 0.1)
             assert reconstruct(basis, op.gamma).isclose(op.matrix, 1e-10)
 
