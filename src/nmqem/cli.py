@@ -16,10 +16,10 @@ picks the one --format names and writes it through ``_WRITERS``; a
 subcommand with a single row layout prints it for both csv and table. argv
 is read off the one option table, ``_COMMANDS``, by a layer that knows no
 subcommand's rules; argparse is imported only for what that declines: help,
-usage errors and abbreviations. A row table, CSV or JSON, is written with one
-%-format call on its flattened cells; in JSON, json's own encoder writes each
-cell's text. kernel and cost refuse a table of more than ``MAX_ROWS`` rows,
---steps per coupling, before building any row.
+usage errors and abbreviations. A CSV table is one %-format call on its
+flattened cells. A JSON payload is one template, filled by one %-format call:
+json's encoder writes every scalar. kernel and cost refuse a table of more
+than ``MAX_ROWS`` rows, --steps per coupling, before building any row.
 
 Exit codes, which ``main`` picks by the class of the failure alone: 0 success,
 1 algebra self-check failure, 2 a usage error or any other ``NmqemError``,
@@ -81,106 +81,86 @@ def _emit_csv(header, rows) -> str:
 
 
 _json_str = json.encoder.encode_basestring_ascii
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _JSON_NON_FINITE.get(text, text)
-
-
-# The JSON text of each scalar type, as json.dumps writes it. The lookup is
-# by exact type: a subclass, which no report holds, raises TypeError.
-_JSON_SCALAR = {
-    str: _json_str,
-    int: int.__repr__,
-    float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _append_json(parts: list, value, pad: str):
-    """Append the text of json.dumps(value, indent=2, sort_keys=True) to
-    parts; ``pad`` is the newline and indent of value's own line. Dict keys
-    must be str; any other key or value type raises TypeError."""
-    kind = type(value)
-    if kind is _RowTable:
-        _append_rows(parts, value, pad)
-    elif kind is not dict and kind is not list and kind is not tuple:
-        text = _JSON_SCALAR.get(kind)
-        if text is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        parts.append(text(value))
-    elif not value:
-        parts.append("{}" if kind is dict else "[]")
-    else:
-        inner = pad + "  "
-        # a scalar item is written in place, a container by recursion
-        if kind is dict:
-            sep = "{" + inner
-            for key, item in sorted(value.items()):
-                text = _JSON_SCALAR.get(type(item))
-                if text is None:
-                    parts.append(f"{sep}{_json_str(key)}: ")
-                    _append_json(parts, item, inner)
-                else:
-                    parts.append(f"{sep}{_json_str(key)}: {text(item)}")
-                sep = "," + inner
-            parts.append(pad + "}")
-        else:
-            sep = "[" + inner
-            for item in value:
-                text = _JSON_SCALAR.get(type(item))
-                if text is None:
-                    parts.append(sep)
-                    _append_json(parts, item, inner)
-                else:
-                    parts.append(sep + text(item))
-                sep = "," + inner
-            parts.append(pad + "]")
-
+# The scalar types json's encoder writes for a report, by exact type: a
+# subclass, which no report holds, raises TypeError.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 # A table of rows, as every command builds one for CSV and JSON: a header of
 # two names or more, each name once, and rows of one cell per name. _emit_json
-# writes it as json.dumps writes [dict(zip(header, row)) for row in rows].
+# writes it as json.dumps writes [dict(zip(header, row)) for row in rows]:
+# one row template, repeated once per row in the payload's one template.
 _RowTable = collections.namedtuple("_RowTable", "header rows")
-
 
 # The JSON text of a list of scalars, its items parted by NUL: ensure_ascii
 # escapes every NUL inside a str, so the text splits exactly at the items.
 _json_items = json.JSONEncoder(separators=("\0", ":")).encode
 
 
-def _append_rows(parts: list, table: _RowTable, pad: str):
-    """Append the text of json.dumps of the table's list of dicts. The keys
-    are sorted and escaped once per table into one row template, repeated
-    once per row, and the whole table is one %-format call on the texts that
-    json's encoder writes for the cells in key order. A table with no rows or
-    with a cell of a type other than the five exact JSON scalars goes to
-    _append_json."""
-    header, rows = table
-    if rows:
+def _append_json(parts: list, cells: list, value, pad: str):
+    """Append json.dumps(value, indent=2, sort_keys=True) to parts as a
+    template, a %s slot for each scalar and every key %-escaped, and the
+    scalars in order to cells; ``pad`` is the newline and indent of value's
+    own line. A ``_RowTable`` is one row template repeated once per row, or,
+    with no rows or a cell that is no scalar, its list of dicts. A key that is
+    no str, or a value of any other type, raises TypeError."""
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        parts.append("%s")
+        cells.append(value)
+    elif kind is _RowTable:
+        header, rows = value
         keys = sorted(header)
         # two names or more, so itemgetter returns each row's cells as a tuple
-        cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*map(header.index, keys)), rows)))
-        if set(map(type, cells)) <= _JSON_SCALAR.keys():
+        table = list(itertools.chain.from_iterable(map(operator.itemgetter(*map(header.index, keys)), rows)))
+        if rows and set(map(type, table)) <= _JSON_SCALARS:
             inner = pad + "  "
             row = ",".join([f"{inner}  {_json_str(key).replace('%', '%%')}: %s" for key in keys])
-            body = ("," + inner).join(["{" + row + inner + "}"] * len(rows))
-            parts.append("[" + inner + body % tuple(_json_items(cells)[1:-1].split("\0")) + pad + "]")
-            return
-    _append_json(parts, [dict(zip(header, row)) for row in rows], pad)
+            parts.append("[" + inner + ("," + inner).join(["{" + row + inner + "}"] * len(rows)) + pad + "]")
+            cells += table
+        else:
+            _append_json(parts, cells, [dict(zip(header, row)) for row in rows], pad)
+    elif kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    elif not value:
+        parts.append("{}" if kind is dict else "[]")
+    else:
+        inner = pad + "  "
+        # a scalar item is a slot in place, a container is written by recursion
+        if kind is dict:
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                head = f"{sep}{_json_str(key).replace('%', '%%')}: "
+                if type(item) in _JSON_SCALARS:
+                    parts.append(head + "%s")
+                    cells.append(item)
+                else:
+                    parts.append(head)
+                    _append_json(parts, cells, item, inner)
+                sep = "," + inner
+            parts.append(pad + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                if type(item) in _JSON_SCALARS:
+                    parts.append(sep + "%s")
+                    cells.append(item)
+                else:
+                    parts.append(sep)
+                    _append_json(parts, cells, item, inner)
+                sep = "," + inner
+            parts.append(pad + "]")
 
 
 def _emit_json(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True), byte for byte, with each
-    ``_RowTable`` written as its list of dicts. With an indent, CPython before
-    3.14 runs json's pure-Python encoder, which costs more than the rest of
-    most commands; this writer does the same in one recursive pass."""
-    parts = []
-    _append_json(parts, payload, "\n")
-    return "".join(parts)
+    ``_RowTable`` written as its list of dicts: json's encoder writes every
+    scalar, all in one call, and one %-format call puts them into the
+    payload's one template. With an indent, CPython before 3.14 runs json's
+    pure-Python encoder, which costs more than the rest of most commands."""
+    parts, cells = [], []
+    _append_json(parts, cells, payload, "\n")
+    return "".join(parts) % tuple(_json_items(cells)[1:-1].split("\0") if cells else ())
 
 
 # How ``main`` writes each format's layout: the JSON payload, the CSV

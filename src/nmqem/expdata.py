@@ -143,6 +143,10 @@ def load_counts(source) -> CountTable:
     device = doc.get("device", "")
     if not isinstance(device, str):
         raise SchemaError("device must be a string")
+    try:
+        device.encode("utf-8")
+    except UnicodeEncodeError as exc:  # json reads "\ud800" as a lone surrogate
+        raise SchemaError(f"device must be UTF-8 text, not {device[exc.start:exc.end]!a}")
     shots = doc.get("shots")
     if not isinstance(shots, int) or isinstance(shots, bool) or shots <= 0:
         raise SchemaError(f"shots must be a positive integer, got {shots!r}")
@@ -150,7 +154,9 @@ def load_counts(source) -> CountTable:
     if not isinstance(runs_doc, list):
         raise SchemaError("runs must be an array")
 
-    expected_inputs = set(input_labels(gate))
+    # a tuple, whose "in" compares a label without hashing it: a label may
+    # be any JSON value, an array or an object included
+    expected_inputs = input_labels(gate)
     runs: Dict[str, Dict[str, float]] = {}
     kind = None
     for entry in runs_doc:
@@ -203,9 +209,9 @@ def load_counts(source) -> CountTable:
             shown = total if total < math.inf else "more than the largest float"
             raise SchemaError(f"run {label!r}: probabilities sum to {shown}")
         runs[label] = weights
-    missing = expected_inputs - set(runs)
+    missing = sorted(set(expected_inputs).difference(runs))
     if missing:
-        raise SchemaError(f"missing runs for inputs {sorted(missing)}")
+        raise SchemaError(f"missing runs for inputs {missing}")
     return CountTable(gate, device, shots, runs, kind)
 
 

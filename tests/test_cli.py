@@ -977,4 +977,11 @@ class TestOutputEncoding:
         out = tmp_path / "report.txt"
         assert main(["estimate", "--counts", str(counts), "--format", "table", "--out", str(out)]) == 3
         assert not out.exists()
-        assert capsys.readouterr() == ("", "error: cannot write the output as utf-8: '\\ud800'\n")
+        assert capsys.readouterr() == ("", "error: device must be UTF-8 text, not '\\ud800'\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_lone_surrogate_device_is_refused_at_load_in_every_format(self, tmp_path, capsys, fmt):
+        counts = tmp_path / "surrogate.json"
+        counts.write_text(Path(SWAP_IBM).read_text().replace('"ibm_guadalupe"', '"\\ud800"'))
+        code, out, err = run_cli(["estimate", "--counts", str(counts), "--format", fmt], capsys)
+        assert (code, out, err) == (3, "", "error: device must be UTF-8 text, not '\\ud800'\n")

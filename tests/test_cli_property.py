@@ -22,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from nmqem import cli  # noqa: E402
 from nmqem.channel import GATES, NmqemError, input_labels  # noqa: E402
 from nmqem.cli import (  # noqa: E402
     _emit_csv, _emit_json, _join_negative_values, _parse_args, _RowTable, _u_grid, build_parser, main,
@@ -214,6 +215,11 @@ def test_alpha_argv_exit_cleanly(out_dir, case):
 @example(case=(_identity_probs("00", 0.0), ["estimate", "--format", "csv"], False))
 @example(case=(CASE_FILES["deep.json"], ["estimate"], True))
 @example(case=(CASE_FILES["long_shots.json"], ["estimate", "--format", "table"], False))
+# input labels that are a JSON array and a JSON object, which no set holds
+@example(case=('{"gate": "swap", "shots": 10, "runs": [{"input": ["m1"], "counts": {"00": 1}}]}',
+               ["estimate"], False))
+@example(case=('{"gate": "swap", "shots": 10, "runs": [{"input": {"m1": 1}, "counts": {"00": 1}}]}',
+               ["estimate", "--format", "table"], True))
 def test_estimate_documents_exit_cleanly(out_dir, case):
     document, argv, with_out = case
     path = out_dir / "document.json"
@@ -247,8 +253,26 @@ JSON_PAYLOADS = st.recursive(
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(payload=JSON_PAYLOADS)
 @example(payload={"": [], "é": {}, "a": ((),), "\u2028": [[{}]], "b": [-0.0, math.nan]})
+# "%" and NUL in dict keys, which go into the template escaped, and in
+# scalars; a payload with no scalar; a bare scalar
+@example(payload={"%s": "%s", "a\x00": ["\x00%", {"100%": "%%"}]})
+@example(payload={"a": [[], {}]})
+@example(payload="%s")
 def test_json_writer_equals_json_dumps(payload):
     assert _emit_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload, calls", [
+    ({"a": [[], {}], "b": _RowTable(["u", "k"], [])}, 0),
+    ("%s", 1),
+    ({"rows": _RowTable(["u", "k"], [[0.5, None], [1.0, [2]]]), "z": [True, {"%": "x"}]}, 1),
+])
+def test_json_writer_calls_the_encoder_once_for_all_scalars(monkeypatch, payload, calls):
+    # the table with a list cell is written as its list of dicts, in the same pass
+    encode, seen = cli._json_items, []
+    monkeypatch.setattr(cli, "_json_items", lambda cells: seen.append(cells) or encode(cells))
+    _emit_json(payload)
+    assert len(seen) == calls
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -264,14 +288,14 @@ def test_json_writer_raises_type_error_as_json_dumps(payload, bad, wrap):
 
 
 # row-table names: out of sorted order, non-ASCII, escaped, holding "%" (the
-# row template's own escape), or "nan" and "inf", which send a table to the
-# row dict writer
+# template's own escape), or "nan" and "info", which read like a float's
+# text; no name sends a table to its list of dicts
 ROW_NAMES = st.one_of(
     st.sampled_from(("u", "coupling", "alpha", "é", "\u2028", 'a"b', "%s", "100%", "nan", "info")),
     st.text(max_size=4),
 )
 # cells of every JSON scalar type, and containers, which send their table to
-# the recursive writer
+# its list of dicts, written by the same pass
 ROW_CELLS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from(EDGE_FLOATS), st.text(),
     st.lists(st.floats(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
@@ -295,7 +319,7 @@ def as_dicts(header, rows):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(table=row_tables())
-# a template reused, then rebuilt for a None, a str, a NaN and a bool cell
+# one row template for every row: a None, a str, a NaN and a bool cell among floats
 @example(table=(["u", "cost", "ok"], [[0.5, 1.25, True], [0.75, 2.5, True], [1.0, None, False],
                                        [1.0, "x", True], [1.0, math.nan, False]]))
 @example(table=(["b", "a"], []))

@@ -141,6 +141,20 @@ class TestLoadCounts:
         with pytest.raises(SchemaError, match="input"):
             load_counts(json.dumps(doc))
 
+    @pytest.mark.parametrize("label", [["00"], {"00": 1}])
+    def test_unhashable_input_label(self, label):
+        # an array or an object is an unknown label, not a TypeError
+        doc = self.base_doc()
+        doc["runs"][0]["input"] = label
+        with pytest.raises(SchemaError, match="^unknown input label"):
+            load_counts(json.dumps(doc))
+
+    def test_lone_surrogate_device(self):
+        doc = self.base_doc()
+        doc["device"] = "\ud800"
+        with pytest.raises(SchemaError, match="^device must be UTF-8 text"):
+            load_counts(json.dumps(doc))
+
     def test_unknown_outcome(self):
         doc = self.base_doc()
         doc["runs"][0]["counts"]["22"] = 1
